@@ -28,7 +28,7 @@ order independent (covered by the test suite).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -40,8 +40,24 @@ WordAtom = tuple[int, bool]
 Word = tuple[WordAtom, ...]
 
 # Tolerance for linear-independence decisions while enumerating observables.
-# Candidates are integer-entried matrices, so any small threshold works.
+# A candidate is kept iff its component orthogonal to the earlier kept ones
+# has norm above this.  Candidates are integer-entried matrices, so the
+# residuals split far apart: over every enumeration the package runs (full
+# registers k = 1..5 and the protocol subsets) the smallest kept residual is
+# 0.177 (k = 5) and the largest rejected one 6.3e-16 (1.1e-16 in the blocked
+# sweep below).
 _RANK_TOL = 1e-8
+
+# Tolerance of the Hermiticity test on candidate words.  Word matrices have
+# entries in {0, +1, -1}, so m and m^dag are either equal or differ by at
+# least 1 in some entry; any threshold in (0, 1) decides exactly.
+_HERMITIAN_TOL = 1e-12
+
+# Candidates projected together, with matrix-matrix products, against the
+# kept rows in the independence sweep: about 32 words, as most words give two
+# candidates.  On a 2-vCPU Xeon with OpenBLAS, blocks of 32 to 64 run the
+# k = 5 count equally fast and 128 a third slower.
+_SWEEP_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +81,20 @@ def vacuum_state(n: int) -> np.ndarray:
     return v
 
 
+# (-1)^(number of set bits) of every byte value.
+_BYTE_SIGNS = np.array([(-1.0) ** bin(b).count("1") for b in range(256)])
+
+
+def _parity_signs(values: np.ndarray) -> np.ndarray:
+    """(-1)^(number of set bits) of each nonnegative integer, byte by byte."""
+    signs = _BYTE_SIGNS[values & 0xFF]
+    values = values >> 8
+    while values.any():
+        signs = signs * _BYTE_SIGNS[values & 0xFF]
+        values = values >> 8
+    return signs
+
+
 def annihilator_matrix(n: int, j: int) -> np.ndarray:
     """Matrix of the annihilator of mode j on n modes.
 
@@ -76,11 +106,10 @@ def annihilator_matrix(n: int, j: int) -> np.ndarray:
         raise ValueError(f"bad-mode: mode {j} outside 1..{n}")
     dim = 1 << n
     bit = 1 << (n - j)
+    idx = np.arange(dim)
+    occupied = idx[(idx & bit) != 0]
     m = np.zeros((dim, dim), dtype=complex)
-    for idx in range(dim):
-        if idx & bit:
-            sign = (-1) ** bin(idx >> (n - j + 1)).count("1")
-            m[idx ^ bit, idx] = sign
+    m[occupied ^ bit, occupied] = _parity_signs(occupied >> (n - j + 1))
     return m
 
 
@@ -200,13 +229,62 @@ def _even_words(modes: tuple[int, ...]):
         yield tuple((m, True) for m in dag_modes) + tuple((m, False) for m in reversed(ann_modes))
 
 
+def _hermitized(n: int, words):
+    """Candidate observables: each word m if Hermitian, else m + m^dag and i(m - m^dag)."""
+    for word in words:
+        m = word_matrix(n, word)
+        m_dag = dagger(m)
+        if mat_close(m, m_dag, _HERMITIAN_TOL):
+            yield m
+        else:
+            yield m + m_dag
+            yield 1j * (m - m_dag)
+
+
+def _independent_subset(candidates, max_rank: int) -> list[np.ndarray]:
+    """The candidates, in order, that are independent of the earlier kept ones.
+
+    Blocked classical Gram-Schmidt with one re-orthogonalisation pass: each
+    block of _SWEEP_BLOCK candidates is projected twice against the kept
+    orthonormal rows with matrix-matrix products, then its candidates are
+    accepted one at a time, each projected twice against the rows kept
+    earlier in the same block.  ``max_rank`` bounds the number kept.
+    """
+    kept: list[np.ndarray] = []
+    ortho = None
+    rank = 0
+    candidates = iter(candidates)
+    while block := list(islice(candidates, _SWEEP_BLOCK)):
+        rows = np.array([m.reshape(-1) for m in block], dtype=complex)
+        if ortho is None:
+            # rows never written are never touched, so cost no memory
+            ortho = np.empty((max_rank, rows.shape[1]), dtype=complex)
+        done = ortho[:rank]
+        for _ in range(2):
+            rows -= (rows.conj() @ done.T).conj() @ done
+        start = rank
+        for m, v in zip(block, rows):
+            new = ortho[start:rank]
+            for _ in range(2):
+                v -= (v.conj() @ new.T).conj() @ new
+            norm = np.linalg.norm(v)
+            if norm > _RANK_TOL:
+                ortho[rank] = v / norm
+                rank += 1
+                kept.append(m)
+    return kept
+
+
 def enumerate_physical_observables(n: int, modes) -> FermionObservableBasis:
     """Independent Hermitian parity-even observables supported on ``modes``.
 
     The candidates are the even monomials in the subset's creators and
-    annihilators, Hermitized as m + m^dag and i(m - m^dag); a deterministic
-    Gram-Schmidt sweep keeps a maximal linearly independent subset.  For a
-    full k-mode subset the count is 2^(2k-1).
+    annihilators, Hermitized as m + m^dag and i(m - m^dag).  A deterministic
+    sweep keeps, in candidate order, each candidate whose component
+    orthogonal to the span of the earlier kept ones has norm above
+    _RANK_TOL.  The sweep is a blocked Gram-Schmidt: candidates are built
+    and projected a block at a time with matrix products, so rejected ones
+    are freed as it goes.  For a full k-mode subset the count is 2^(2k-1).
     """
     modes = tuple(sorted(set(int(m) for m in modes)))
     if not modes:
@@ -214,25 +292,9 @@ def enumerate_physical_observables(n: int, modes) -> FermionObservableBasis:
     if modes[0] < 1 or modes[-1] > n:
         raise ValueError(f"bad-mode: subset {modes} outside 1..{n}")
 
-    candidates: list[np.ndarray] = []
-    for word in _even_words(modes):
-        m = word_matrix(n, word)
-        if mat_close(m, dagger(m), 1e-12):
-            candidates.append(m)
-        else:
-            candidates.append(m + dagger(m))
-            candidates.append(1j * (m - dagger(m)))
-
-    kept: list[np.ndarray] = []
-    ortho: list[np.ndarray] = []
-    for m in candidates:
-        v = m.reshape(-1).copy()
-        for q in ortho:
-            v -= (q.conj() @ v) * q
-        nv = np.linalg.norm(v)
-        if nv > _RANK_TOL:
-            kept.append(m)
-            ortho.append(v / nv)
+    words = list(_even_words(modes))
+    max_rank = min(2 * len(words), 1 << (2 * n))
+    kept = _independent_subset(_hermitized(n, words), max_rank)
     return FermionObservableBasis(n, modes, tuple(kept))
 
 
@@ -250,9 +312,7 @@ def count_scaling_check(k_max: int) -> list[tuple[int, int, int, bool]]:
 
 def parity_matrix(n: int) -> np.ndarray:
     """(-1)^(total occupation), the superselection grading operator."""
-    dim = 1 << n
-    diag = [(-1) ** bin(i).count("1") for i in range(dim)]
-    return np.diag(np.asarray(diag, dtype=complex))
+    return np.diag(_parity_signs(np.arange(1 << n)).astype(complex))
 
 
 def is_parity_even(m: np.ndarray, n: int, eps: float = EPS) -> bool:
@@ -262,10 +322,6 @@ def is_parity_even(m: np.ndarray, n: int, eps: float = EPS) -> bool:
 
 # ---------------------------------------------------------------------------
 # fermionic partial trace
-
-
-def _popcounts(values: np.ndarray) -> np.ndarray:
-    return np.array([bin(int(v)).count("1") for v in values])
 
 
 def fermionic_partial_trace(m: np.ndarray, n: int, traced_mode: int) -> np.ndarray:
@@ -286,8 +342,7 @@ def fermionic_partial_trace(m: np.ndarray, n: int, traced_mode: int) -> np.ndarr
     low_mask = (1 << low_bits) - 1
     idx = np.arange(dim)
     occ = (idx >> low_bits) & 1
-    tail = _popcounts(idx & low_mask)
-    signs = np.where(occ == 1, (-1.0) ** tail, 1.0)
+    signs = np.where(occ == 1, _parity_signs(idx & low_mask), 1.0)
     dropped = ((idx >> (low_bits + 1)) << low_bits) | (idx & low_mask)
     out = np.zeros((dim // 2, dim // 2), dtype=complex)
     for b in (0, 1):

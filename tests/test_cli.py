@@ -93,10 +93,10 @@ def test_unknown_model_exits_2(capsys):
 
 
 def test_tomography_table(capsys):
-    code, out, _ = run_cli(capsys, ["tomography", "--k-max", "3", "--format", "json"])
+    code, out, _ = run_cli(capsys, ["tomography", "--k-max", "5", "--format", "json"])
     assert code == EXIT_OK
     report = json.loads(out)
-    assert [(r["k"], r["count"]) for r in report["counts"]] == [(1, 2), (2, 8), (3, 32)]
+    assert [(r["k"], r["count"]) for r in report["counts"]] == [(1, 2), (2, 8), (3, 32), (4, 128), (5, 512)]
     assert all(r["match"] for r in report["counts"])
     assert report["span_check"]["decomposable"] is False
     assert report["span_check"]["residual"] > 0.1

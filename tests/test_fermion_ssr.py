@@ -122,8 +122,14 @@ def test_contiguous_subset_observables_embed_as_identity_elsewhere():
 
 
 def test_count_scaling_table():
-    rows = count_scaling_check(4)
-    assert rows == [(1, 2, 2, True), (2, 8, 8, True), (3, 32, 32, True), (4, 128, 128, True)]
+    rows = count_scaling_check(5)
+    assert rows == [
+        (1, 2, 2, True),
+        (2, 8, 8, True),
+        (3, 32, 32, True),
+        (4, 128, 128, True),
+        (5, 512, 512, True),
+    ]
     with pytest.raises(ValueError, match="bad-mode"):
         count_scaling_check(6)
 
