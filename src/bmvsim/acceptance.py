@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -76,12 +77,6 @@ def anyon_expected_displays() -> dict[str, np.ndarray]:
     }
 
 
-def anyon_expected_mediator() -> np.ndarray:
-    m = np.zeros((3, 3), dtype=complex)
-    m[1, 1] = 1.0
-    return m
-
-
 def bab_expected_matter_state() -> np.ndarray:
     """Final matter state on (A1, B1, B_last, A2): four equal basis terms."""
     v = np.zeros(16, dtype=complex)
@@ -90,8 +85,92 @@ def bab_expected_matter_state() -> np.ndarray:
     return v
 
 
+def _projector(dim: int, index: int) -> np.ndarray:
+    m = np.zeros((dim, dim), dtype=complex)
+    m[index, index] = 1.0
+    return m
+
+
 # ---------------------------------------------------------------------------
-# per-model expectation tables (shared by the CLI run command)
+# per-model expectation tables: the rows of the ``run`` report, and what
+# criteria 1-3 and 7-10 read
+
+
+#: The protocol runner of each model, in report order (shared with the CLI).
+RUNNERS = {
+    "fermion": fer.run_fermion_protocol,
+    "anyon": ia.run_anyon_protocol,
+    "bitantibit": bab.run_bit_antibit_protocol,
+}
+
+
+class Row(NamedTuple):
+    """A value computed by a protocol run and the value pinned for it: a bool
+    pin must match exactly, a number or array pin within eps in every entry."""
+
+    name: str
+    computed: object
+    pinned: object
+
+    def deviation(self) -> float:
+        return float(np.max(np.abs(np.asarray(self.computed) - np.asarray(self.pinned))))
+
+    def passes(self, eps: float) -> bool:
+        return self.computed == self.pinned if isinstance(self.pinned, bool) else self.deviation() <= eps
+
+
+def _fermion_rows(trace: ProtocolTrace) -> Iterator[Row]:
+    s = trace.summary
+    sequence = zip(trace.steps, s["mediator_sequence"], fermion_expected_mediator_sequence(), strict=True)
+    marginal = np.eye(4) / 4
+    yield from (Row(f"mediator[{step.label}]", med, exp) for step, med, exp in sequence)
+    yield Row("rho_q1", s["rho_q1"], marginal)
+    yield Row("rho_q2", s["rho_q2"], marginal)
+    yield Row("x1_expect", s["x1_expect"], 0.0)
+    yield Row("x2_expect", s["x2_expect"], 0.0)
+    yield Row("x1x2_expect", s["x1x2_expect"], -0.5)
+    yield Row("final_matter", trace.steps[-1].matter, dyad(fermion_expected_matter_state()))
+
+
+def _anyon_rows(trace: ProtocolTrace) -> Iterator[Row]:
+    s = trace.summary
+    displays = anyon_expected_displays()
+    marginal = np.eye(2) / 2
+    yield from (Row(f"display[{key}]", vec, displays[key]) for key, vec in s["displays"].items())
+    yield from (Row(f"mediator[{step.label}]", step.mediator, _projector(3, 1)) for step in trace.steps)
+    yield from (Row(f"mediator_purity[{step.label}]", p, 1.0) for step, p in zip(trace.steps, s["mediator_purities"]))
+    yield Row("final_matter", trace.steps[-1].matter, dyad(displays["final_center"]))
+    yield Row("rho_q1", s["rho_q1"], marginal)
+    yield Row("rho_q2", s["rho_q2"], marginal)
+    yield Row("x1_expect", s["x1_expect"], 0.0)
+    yield Row("x2_expect", s["x2_expect"], 0.0)
+    yield Row("x1x2_expect", s["x1x2_expect"], 1.0)
+
+
+def _bab_rows(trace: ProtocolTrace) -> Iterator[Row]:
+    s = trace.summary
+    start, end = trace.steps[0].mediator, trace.steps[-1].mediator
+    marginal = np.eye(4) / 4
+    yield Row("final_matter", trace.steps[-1].matter, dyad(bab_expected_matter_state()))
+    yield Row("mediator_start", start, _projector(len(start), 0))
+    yield Row("mediator_end", end, _projector(len(end), 0))
+    yield Row("all_steps_valid", all(s["validities"]), True)
+    yield Row("rho_q1", s["rho_q1"], marginal)
+    yield Row("rho_q2", s["rho_q2"], marginal)
+    yield Row("x1_expect*x2_expect", s["x1_expect"] * s["x2_expect"], 0.0)
+    yield Row("x1x2_expect", s["x1x2_expect"], 0.5)
+
+
+_MODEL_ROWS = {"fermion": _fermion_rows, "anyon": _anyon_rows, "bitantibit": _bab_rows}
+
+
+def model_rows(trace: ProtocolTrace) -> Iterator[Row]:
+    """The model's own rows, then the witness and purity rows of every model."""
+    s = trace.summary
+    yield from _MODEL_ROWS[trace.model](trace)
+    yield Row("initial_uncorrelated", s["initial_report"].uncorrelated, True)
+    yield Row("final_entangled", trace.report.entangled, True)
+    yield Row("matter_purity", s["matter_purity"], 1.0)
 
 
 @dataclass
@@ -102,64 +181,18 @@ class Check:
     actual: str
 
 
-def _check_close(name: str, actual: float, expected: float, eps: float) -> Check:
-    return Check(name, abs(actual - expected) <= eps, f"{expected:g}", f"{actual:.12g}")
-
-
-def _check_mat(name: str, actual: np.ndarray, expected: np.ndarray, eps: float) -> Check:
-    dev = float(np.max(np.abs(np.asarray(actual) - np.asarray(expected))))
-    return Check(name, dev <= eps, "deviation 0", f"deviation {dev:.3g}")
-
-
 def model_checks(trace: ProtocolTrace, eps: float = EPS) -> list[Check]:
     """Pass/fail rows comparing one protocol run against its pinned values."""
-    s = trace.summary
-    checks: list[Check] = []
-    if trace.model == "fermion":
-        for step, med, exp in zip(trace.steps, s["mediator_sequence"], fermion_expected_mediator_sequence()):
-            checks.append(_check_mat(f"mediator[{step.label}]", med, exp, eps))
-        checks.append(_check_mat("rho_q1", s["rho_q1"], np.eye(4) / 4, eps))
-        checks.append(_check_mat("rho_q2", s["rho_q2"], np.eye(4) / 4, eps))
-        checks.append(_check_close("x1_expect", s["x1_expect"], 0.0, eps))
-        checks.append(_check_close("x2_expect", s["x2_expect"], 0.0, eps))
-        checks.append(_check_close("x1x2_expect", s["x1x2_expect"], -0.5, eps))
-        checks.append(_check_mat("final_matter", trace.steps[-1].matter, dyad(fermion_expected_matter_state()), eps))
-    elif trace.model == "anyon":
-        expected = anyon_expected_displays()
-        for key, vec in s["displays"].items():
-            checks.append(_check_mat(f"display[{key}]", vec, expected[key], eps))
-        med = anyon_expected_mediator()
-        for step in trace.steps:
-            checks.append(_check_mat(f"mediator[{step.label}]", step.mediator, med, eps))
-        for step, p in zip(trace.steps, s["mediator_purities"]):
-            checks.append(_check_close(f"mediator_purity[{step.label}]", p, 1.0, eps))
-        checks.append(_check_mat("final_matter", trace.steps[-1].matter, dyad(ia.bell_matter_state()), eps))
-        checks.append(_check_mat("rho_q1", s["rho_q1"], np.eye(2) / 2, eps))
-        checks.append(_check_mat("rho_q2", s["rho_q2"], np.eye(2) / 2, eps))
-        checks.append(_check_close("x1_expect", s["x1_expect"], 0.0, eps))
-        checks.append(_check_close("x2_expect", s["x2_expect"], 0.0, eps))
-        checks.append(_check_close("x1x2_expect", s["x1x2_expect"], 1.0, eps))
-    elif trace.model == "bitantibit":
-        checks.append(_check_mat("final_matter", trace.steps[-1].matter, dyad(bab_expected_matter_state()), eps))
-        checks.append(_check_mat("mediator_start", trace.steps[0].mediator, _zero_projector(trace.steps[0].mediator.shape[0]), eps))
-        checks.append(_check_mat("mediator_end", trace.steps[-1].mediator, _zero_projector(trace.steps[-1].mediator.shape[0]), eps))
-        checks.append(Check("all_steps_valid", all(s["validities"]), "True", str(all(s["validities"]))))
-        checks.append(_check_mat("rho_q1", s["rho_q1"], np.eye(4) / 4, eps))
-        checks.append(_check_mat("rho_q2", s["rho_q2"], np.eye(4) / 4, eps))
-        checks.append(_check_close("x1_expect*x2_expect", s["x1_expect"] * s["x2_expect"], 0.0, eps))
-        checks.append(_check_close("x1x2_expect", s["x1x2_expect"], 0.5, eps))
-    else:
-        raise ValueError(f"unknown model {trace.model!r}")
-    checks.append(Check("initial_uncorrelated", s["initial_report"].uncorrelated, "True", str(s["initial_report"].uncorrelated)))
-    checks.append(Check("final_entangled", trace.report.entangled, "True", str(trace.report.entangled)))
-    checks.append(_check_close("matter_purity", s["matter_purity"], 1.0, eps))
+    checks = []
+    for row in model_rows(trace):
+        if isinstance(row.pinned, bool):
+            shown = str(row.pinned), str(row.computed)
+        elif isinstance(row.pinned, np.ndarray):
+            shown = "deviation 0", f"deviation {row.deviation():.3g}"
+        else:
+            shown = f"{row.pinned:g}", f"{row.computed:.12g}"
+        checks.append(Check(row.name, row.passes(eps), *shown))
     return checks
-
-
-def _zero_projector(dim: int) -> np.ndarray:
-    m = np.zeros((dim, dim), dtype=complex)
-    m[0, 0] = 1.0
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -174,34 +207,38 @@ class CriterionResult:
     detail: str
 
 
-def _trace(ctx: dict, model: str, eps: float) -> ProtocolTrace:
-    key = (model, eps)
-    if key not in ctx:
-        runner = {
-            "fermion": fer.run_fermion_protocol,
-            "anyon": ia.run_anyon_protocol,
-            "bitantibit": bab.run_bit_antibit_protocol,
-        }[model]
-        ctx[key] = runner(eps=eps)
-    return ctx[key]
+def _table(ctx: dict, model: str, eps: float) -> dict[str, Row]:
+    """The model's rows by name, from one protocol run per ``run_all``."""
+    if model not in ctx:
+        trace = RUNNERS[model](eps=eps)
+        ctx[model] = trace, {row.name: row for row in model_rows(trace)}
+    return ctx[model][1]
+
+
+def _group(rows: dict[str, Row], prefix: str) -> list[Row]:
+    """The rows named ``prefix[...]``, one per checkpoint or display."""
+    return [row for name, row in rows.items() if name.startswith(prefix + "[")]
+
+
+def _passes(eps: float, *rows: Row) -> bool:
+    return all(row.passes(eps) for row in rows)
 
 
 def _crit_fermion_correlations(eps, ctx):
-    s = _trace(ctx, "fermion", eps).summary
-    ok = abs(s["x1_expect"]) <= eps and abs(s["x2_expect"]) <= eps and abs(s["x1x2_expect"] + 0.5) <= eps
-    return ok, f"<X1>={s['x1_expect']:.3g} <X2>={s['x2_expect']:.3g} <X1.X2>={s['x1x2_expect']:.12g}"
+    rows = _table(ctx, "fermion", eps)
+    x1, x2, x1x2 = rows["x1_expect"], rows["x2_expect"], rows["x1x2_expect"]
+    detail = f"<X1>={x1.computed:.3g} <X2>={x2.computed:.3g} <X1.X2>={x1x2.computed:.12g}"
+    return _passes(eps, x1, x2, x1x2), detail
 
 
 def _crit_fermion_mediator(eps, ctx):
-    seq = _trace(ctx, "fermion", eps).summary["mediator_sequence"]
-    expected = fermion_expected_mediator_sequence()
-    devs = [float(np.max(np.abs(a - b))) for a, b in zip(seq, expected)]
-    return len(seq) == 4 and max(devs) <= eps, f"max deviation {max(devs):.3g}"
+    mediator = _group(_table(ctx, "fermion", eps), "mediator")
+    return _passes(eps, *mediator), f"max deviation {max(row.deviation() for row in mediator):.3g}"
 
 
 def _crit_fermion_marginals(eps, ctx):
-    s = _trace(ctx, "fermion", eps).summary
-    ok = mat_close(s["rho_q1"], np.eye(4) / 4, eps) and mat_close(s["rho_q2"], np.eye(4) / 4, eps)
+    rows = _table(ctx, "fermion", eps)
+    ok = _passes(eps, rows["rho_q1"], rows["rho_q2"])
     return ok, "rho_Q1 = rho_Q2 = I/4" if ok else "marginal deviates from I/4"
 
 
@@ -243,8 +280,7 @@ def _crit_nondecomposability(eps, ctx):
 def _crit_anyon_recoupling(eps, ctx):
     p_lr = ia.partition_matrix(ia.Partition.LEFT, ia.Partition.RIGHT)
     p_cr = ia.partition_matrix(ia.Partition.CENTER, ia.Partition.RIGHT)
-    ok = mat_close(p_lr, np.array([[1, 1], [1, -1]]) / _SQ2, eps)
-    ok = ok and mat_close(p_cr, np.array([[1, 1], [-1j, 1j]]) / _SQ2, eps)
+    ok = mat_close(p_lr, ia.P_LEFT_TO_RIGHT, eps) and mat_close(p_cr, ia.P_CENTER_TO_RIGHT, eps)
     shapes = (ia.Partition.CENTER, ia.Partition.LEFT, ia.Partition.RIGHT)
     worst = 0.0
     for loop in list(permutations(shapes, 2)) + list(permutations(shapes, 3)):
@@ -257,49 +293,41 @@ def _crit_anyon_recoupling(eps, ctx):
 
 
 def _crit_anyon_protocol(eps, ctx):
-    trace = _trace(ctx, "anyon", eps)
-    s = trace.summary
-    expected = anyon_expected_displays()
-    dev = max(float(np.max(np.abs(s["displays"][k] - expected[k]))) for k in expected)
-    ok = dev <= eps
-    ok = ok and mat_close(trace.steps[-1].matter, dyad(ia.bell_matter_state()), eps)
-    ok = ok and abs(s["x1x2_expect"] - 1.0) <= eps and abs(s["x1_expect"]) <= eps and abs(s["x2_expect"]) <= eps
-    return ok, f"display deviation {dev:.3g}, <X1.X2>={s['x1x2_expect']:.12g}"
+    rows = _table(ctx, "anyon", eps)
+    displays = _group(rows, "display")
+    names = ("final_matter", "x1_expect", "x2_expect", "x1x2_expect")
+    ok = _passes(eps, *displays, *(rows[name] for name in names))
+    dev = max(row.deviation() for row in displays)
+    return ok, f"display deviation {dev:.3g}, <X1.X2>={rows['x1x2_expect'].computed:.12g}"
 
 
 def _crit_anyon_mediator_purity(eps, ctx):
-    trace = _trace(ctx, "anyon", eps)
-    med = anyon_expected_mediator()
-    ok = all(mat_close(step.mediator, med, eps) for step in trace.steps)
-    purities = trace.summary["mediator_purities"]
-    ok = ok and all(abs(p - 1.0) <= eps for p in purities)
-    return ok, f"purities {[f'{p:.12g}' for p in purities]}"
+    rows = _table(ctx, "anyon", eps)
+    purities = _group(rows, "mediator_purity")
+    ok = _passes(eps, *_group(rows, "mediator"), *purities)
+    return ok, f"purities {[f'{row.computed:.12g}' for row in purities]}"
 
 
 def _crit_bit_antibit(eps, ctx):
-    trace = _trace(ctx, "bitantibit", eps)
-    s = trace.summary
-    expected = dyad(bab_expected_matter_state())
-    ok = mat_close(trace.steps[-1].matter, expected, eps)
-    ok = ok and abs(s["x1_expect"] * s["x2_expect"]) <= eps and abs(s["x1x2_expect"] - 0.5) <= eps
-    ok = ok and mat_close(trace.steps[-1].mediator, _zero_projector(4), eps)
-    ok = ok and all(s["validities"])
+    rows = _table(ctx, "bitantibit", eps)
+    names = ("final_matter", "mediator_end", "all_steps_valid", "x1_expect*x2_expect", "x1x2_expect")
+    ok = _passes(eps, *(rows[name] for name in names))
     for k in (3, 4):
-        bigger = bab.run_bit_antibit_protocol(k, eps=eps)
-        ok = ok and mat_close(bigger.steps[-1].matter, expected, eps) and all(bigger.summary["validities"])
-    return ok, f"<X1><X2>={s['x1_expect'] * s['x2_expect']:.3g} vs <X1xX2>={s['x1x2_expect']:.12g}; k=3,4 agree"
+        bigger = {row.name: row for row in model_rows(RUNNERS["bitantibit"](k, eps=eps))}
+        ok = ok and _passes(eps, bigger["final_matter"], bigger["all_steps_valid"])
+    x1_x2, x1x2 = rows["x1_expect*x2_expect"].computed, rows["x1x2_expect"].computed
+    return ok, f"<X1><X2>={x1_x2:.3g} vs <X1xX2>={x1x2:.12g}; k=3,4 agree"
 
 
 def _crit_witness_coherence(eps, ctx):
     details = []
     ok = True
-    for model in ("fermion", "anyon", "bitantibit"):
-        trace = _trace(ctx, model, eps)
-        initial_ok = trace.summary["initial_report"].uncorrelated
-        final_ok = trace.report.entangled
+    for model in RUNNERS:
+        rows = _table(ctx, model, eps)
+        initial_ok, final_ok = rows["initial_uncorrelated"].computed, rows["final_entangled"].computed
         ok = ok and initial_ok and final_ok
         details.append(f"{model}: initial uncorrelated={initial_ok}, final entangled={final_ok}")
-    trace = _trace(ctx, "bitantibit", eps)
+    trace = ctx["bitantibit"][0]
     for label, matter, expect_entangled in (
         ("initial", trace.steps[0].matter, False),
         ("final", trace.steps[-1].matter, True),

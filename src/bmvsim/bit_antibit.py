@@ -22,7 +22,7 @@ from itertools import permutations
 import numpy as np
 
 from .statecore import EPS, dyad, hermitian_basis, partial_trace, tensor
-from .witness import LocalObservableSet, ProtocolStep, ProtocolTrace, purity, uncorrelated_test
+from .witness import LocalObservableSet, ProtocolTrace, run_protocol
 
 
 @dataclass(frozen=True)
@@ -183,49 +183,36 @@ def run_bit_antibit_protocol(mediator_bits: int = 2, eps: float = EPS) -> Protoc
     bell = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
     zeros = np.zeros(1 << k, dtype=complex)
     zeros[0] = 1.0
-    psi = tensor(bell, zeros, bell)
 
     dims = [2] * sig.slots
     mediator_slots = [sig.slot_of(f"B{i}") for i in range(2, k + 2)]
     matter_slots = [sig.slot_of(s) for s in ("A1", "B1", f"B{k + 2}", "A2")]
 
-    def checkpoint(label: str, state: np.ndarray) -> ProtocolStep:
+    def swap(b1: str, b2: str):
+        return f"swap({b1},{b2})", lambda state: swap_bits(sig, b1, b2) @ state
+
+    def reduce(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rho = dyad(state)
-        mediator = partial_trace(rho, dims, mediator_slots)
-        matter = partial_trace(rho, dims, matter_slots)
-        return ProtocolStep(label, state, mediator, matter)
+        return partial_trace(rho, dims, mediator_slots), partial_trace(rho, dims, matter_slots)
 
-    steps = [checkpoint("initial", psi)]
-    validities = [validate_state(sig, psi, eps)]
-    for b1, b2 in swap_chain(k):
-        psi = swap_bits(sig, b1, b2) @ psi
-        steps.append(checkpoint(f"swap({b1},{b2})", psi))
-        validities.append(validate_state(sig, psi, eps))
-
-    matter_final = steps[-1].matter
-    rho_q1 = partial_trace(matter_final, [4, 4], [0])
-    rho_q2 = partial_trace(matter_final, [4, 4], [1])
     x_pair = pair_flip_observable()
-    x1 = tensor(x_pair, np.eye(4))
-    x2 = tensor(np.eye(4), x_pair)
-
-    set_q1 = LocalObservableSet("Q1", tuple(tensor(h, np.eye(4)) for h in hermitian_basis(4)))
-    set_q2 = LocalObservableSet("Q2", tuple(tensor(np.eye(4), h) for h in hermitian_basis(4)))
-    report = uncorrelated_test(matter_final, set_q1, set_q2, product=tensor_product_composition, eps=eps)
-
-    summary = {
-        "mediator_bits": k,
-        "mediator_sequence": [step.mediator for step in steps],
-        "validities": [flag for flag, _ in validities],
-        "certificates": [cert for _, cert in validities],
-        "rho_q1": rho_q1,
-        "rho_q2": rho_q2,
-        "x1_expect": float(np.real(np.trace(x_pair @ rho_q1))),
-        "x2_expect": float(np.real(np.trace(x_pair @ rho_q2))),
-        "x1x2_expect": float(np.real(np.trace(x1 @ x2 @ matter_final))),
-        "matter_purity": purity(matter_final, eps),
-        "initial_report": uncorrelated_test(
-            steps[0].matter, set_q1, set_q2, product=tensor_product_composition, eps=eps
+    eye = np.eye(4)
+    trace = run_protocol(
+        "bitantibit",
+        tensor(bell, zeros, bell),
+        (swap(b1, b2) for b1, b2 in swap_chain(k)),
+        reduce,
+        lambda matter: (partial_trace(matter, [4, 4], [0]), partial_trace(matter, [4, 4], [1])),
+        (x_pair, tensor(x_pair, eye), tensor(eye, x_pair)),
+        (
+            LocalObservableSet("Q1", tuple(tensor(h, eye) for h in hermitian_basis(4))),
+            LocalObservableSet("Q2", tuple(tensor(eye, h) for h in hermitian_basis(4))),
         ),
-    }
-    return ProtocolTrace("bitantibit", steps, report, summary)
+        product=tensor_product_composition,
+        eps=eps,
+    )
+    validities = [validate_state(sig, step.state, eps) for step in trace.steps]
+    trace.summary["mediator_bits"] = k
+    trace.summary["validities"] = [flag for flag, _ in validities]
+    trace.summary["certificates"] = [cert for _, cert in validities]
+    return trace

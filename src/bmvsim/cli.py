@@ -17,20 +17,19 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .acceptance import (
+    RUNNERS,
     local_product_basis,
     model_checks,
     nondecomposable_target,
     run_all,
 )
-from .bit_antibit import run_bit_antibit_protocol
-from .fermion_ssr import count_scaling_check, run_fermion_protocol
-from .ising_anyon import AnyonState, run_anyon_protocol
+from .fermion_ssr import count_scaling_check
+from .ising_anyon import AnyonState
 from .statecore import EPS, in_span
 from .witness import ProtocolTrace, WitnessReport
 
@@ -39,33 +38,19 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-MODELS = ("fermion", "anyon", "bitantibit")
+MODELS = tuple(RUNNERS)
+
+# `run bitantibit --mediator-bits k` builds dense 2^(k+4)-square matrices of
+# 2^(2k+12) bytes: 256 MiB at k = 8, and 1 GiB at k = 9, where a checkpoint's
+# density matrix and its first partial-trace temporary take 1.5 GiB together.
+# k = 8 peaks at 388 MiB RSS in any format (k = 7 at 119 MiB, on a 2-vCPU
+# Xeon), so a 1 GiB budget allows k <= 8; a larger k is rejected before
+# anything is allocated.
+MAX_MEDIATOR_BITS = 8
 
 
 class UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated options of the ``run`` command."""
-
-    model: str
-    mediator_bits: int = 2
-    fmt: str = "text"
-    out: str | None = None
-    trace_steps: bool = False
-    eps: float = EPS
-
-    def __post_init__(self):
-        if self.model not in MODELS:
-            raise UsageError(f"unknown model {self.model!r}")
-        if self.mediator_bits < 2:
-            raise UsageError("--mediator-bits must be at least 2")
-        if not (0.0 < self.eps <= 1e-6):
-            raise UsageError(f"eps must lie in (0, 1e-6], got {self.eps:g}")
-        if self.fmt not in RENDERERS:
-            raise UsageError(f"unknown format {self.fmt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +162,13 @@ def build_verify_report(eps: float) -> dict:
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    # The encoder's chunks go straight into the buffer.  Joining them, as
+    # json.dumps does, holds all of them at once: about 10 MiB for the 3 MB
+    # report of `run bitantibit --mediator-bits 6`, against 4 MiB here.
+    buf = io.StringIO()
+    buf.writelines(json.JSONEncoder(indent=2).iterencode(report))
+    buf.write("\n")
+    return buf.getvalue()
 
 
 def _csv_rows(report: dict) -> list[tuple[str, str, str]]:
@@ -239,17 +230,18 @@ RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}
 
 
 def _emit(report: dict, fmt: str, out: str | None) -> int:
+    """Write the report; the exit code says whether it was written and passed."""
     text = RENDERERS[fmt](report)
     if out is None:
         sys.stdout.write(text)
-        return EXIT_OK
-    try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+    else:
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return EXIT_IO
+    return EXIT_OK if report["pass"] else EXIT_MISMATCH
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="fermion | anyon | bitantibit")
     run.add_argument("--model", choices=MODELS, dest="model_flag")
     run.add_argument("--mediator-bits", type=int, default=None,
-                     help="mediator register size (bitantibit only, default 2)")
+                     help=f"mediator register size (bitantibit only, 2 to {MAX_MEDIATOR_BITS}, default 2)")
     run.add_argument("--format", choices=sorted(RENDERERS), default="text")
     run.add_argument("--out", default=None, help="write the report to this path")
     run.add_argument("--trace-steps", action="store_true", help="include per-step states")
@@ -307,31 +299,26 @@ def cmd_run(args) -> int:
     if (args.model_pos is None) == (args.model_flag is None):
         raise UsageError("give the model exactly once (positionally or via --model)")
     model = args.model_pos or args.model_flag
-    if args.mediator_bits is not None and model != "bitantibit":
-        raise UsageError("--mediator-bits applies to the bitantibit model only")
-    config = RunConfig(
-        model=model,
-        mediator_bits=2 if args.mediator_bits is None else args.mediator_bits,
-        fmt=args.format,
-        out=args.out,
-        trace_steps=args.trace_steps,
-        eps=_resolve_eps(args.eps),
-    )
+    options = {}
+    if args.mediator_bits is not None:
+        if model != "bitantibit":
+            raise UsageError("--mediator-bits applies to the bitantibit model only")
+        if args.mediator_bits < 2:
+            raise UsageError("--mediator-bits must be at least 2")
+        if args.mediator_bits > MAX_MEDIATOR_BITS:
+            raise UsageError(
+                f"--mediator-bits must be at most {MAX_MEDIATOR_BITS}: the report would "
+                "need more than 1 GiB"
+            )
+        options["mediator_bits"] = args.mediator_bits
+    eps = _resolve_eps(args.eps)
     try:
-        if config.model == "fermion":
-            trace = run_fermion_protocol(eps=config.eps)
-        elif config.model == "anyon":
-            trace = run_anyon_protocol(eps=config.eps)
-        else:
-            trace = run_bit_antibit_protocol(config.mediator_bits, eps=config.eps)
-        report = build_run_report(trace, config.eps, config.trace_steps)
+        trace = RUNNERS[model](eps=eps, **options)
+        report = build_run_report(trace, eps, args.trace_steps)
     except ValueError as exc:
         print(f"expectation failure: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    code = _emit(report, config.fmt, config.out)
-    if code != EXIT_OK:
-        return code
-    return EXIT_OK if report["pass"] else EXIT_MISMATCH
+    return _emit(report, args.format, args.out)
 
 
 def cmd_tomography(args) -> int:
@@ -340,20 +327,12 @@ def cmd_tomography(args) -> int:
     if args.k_max < 1:
         raise UsageError("k_max must be at least 1")
     eps = _resolve_eps(args.eps)
-    report = build_tomography_report(args.k_max, eps)
-    code = _emit(report, args.format, args.out)
-    if code != EXIT_OK:
-        return code
-    return EXIT_OK if report["pass"] else EXIT_MISMATCH
+    return _emit(build_tomography_report(args.k_max, eps), args.format, args.out)
 
 
 def cmd_verify_all(args) -> int:
     eps = _resolve_eps(args.eps)
-    report = build_verify_report(eps)
-    code = _emit(report, args.format, args.out)
-    if code != EXIT_OK:
-        return code
-    return EXIT_OK if report["pass"] else EXIT_MISMATCH
+    return _emit(build_verify_report(eps), args.format, args.out)
 
 
 def main(argv=None) -> int:

@@ -33,11 +33,7 @@ from itertools import islice, product
 import numpy as np
 
 from .statecore import EPS, dagger, dyad, mat_close
-from .witness import LocalObservableSet, ProtocolStep, ProtocolTrace, purity, uncorrelated_test
-
-#: word entry: (mode index, is_creation)
-WordAtom = tuple[int, bool]
-Word = tuple[WordAtom, ...]
+from .witness import LocalObservableSet, ProtocolTrace, run_protocol
 
 # Tolerance for linear-independence decisions while enumerating observables.
 # A candidate is kept iff its component orthogonal to the earlier kept ones
@@ -124,78 +120,6 @@ def word_matrix(n: int, word) -> np.ndarray:
         factor = creator_matrix(n, mode) if creation else annihilator_matrix(n, mode)
         m = m @ factor
     return m
-
-
-# ---------------------------------------------------------------------------
-# symbolic monomials (independent normal-ordering oracle)
-
-
-@dataclass(frozen=True)
-class FermionMonomial:
-    """A coefficient times an ordered word of creators/annihilators.
-
-    Normal ordering rewrites the word, via the anticommutation relations,
-    into the canonical form "creators ascending by mode, then annihilators
-    descending by mode"; repeated operators annihilate the monomial.
-    """
-
-    coefficient: complex
-    word: Word
-
-    @property
-    def parity(self) -> int:
-        return len(self.word) % 2
-
-    def normal_ordered(self) -> tuple["FermionMonomial", ...]:
-        terms: dict[Word, complex] = {}
-        stack: list[tuple[complex, Word]] = [(complex(self.coefficient), tuple(self.word))]
-        while stack:
-            coeff, word = stack.pop()
-            action = None
-            for i in range(len(word) - 1):
-                (m1, d1), (m2, d2) = word[i], word[i + 1]
-                if (not d1) and d2:
-                    action = ("contract", i)
-                    break
-                if d1 == d2 and m1 == m2:
-                    action = ("zero", i)
-                    break
-                if d1 and d2 and m1 > m2:
-                    action = ("swap", i)
-                    break
-                if (not d1) and (not d2) and m1 < m2:
-                    action = ("swap", i)
-                    break
-            if action is None:
-                terms[word] = terms.get(word, 0.0) + coeff
-                continue
-            kind, i = action
-            if kind == "zero":
-                continue
-            swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
-            stack.append((-coeff, swapped))
-            if kind == "contract" and word[i][0] == word[i + 1][0]:
-                stack.append((coeff, word[:i] + word[i + 2 :]))
-        out = [FermionMonomial(c, w) for w, c in sorted(terms.items()) if abs(c) > 1e-14]
-        return tuple(out)
-
-    def matrix(self, n: int) -> np.ndarray:
-        return self.coefficient * word_matrix(n, self.word)
-
-
-def apply_monomials_to_vacuum(n: int, monomials) -> np.ndarray:
-    """State vector of (sum of normal-ordered monomials)|vac>."""
-    state = np.zeros(1 << n, dtype=complex)
-    for mono in monomials:
-        for term in mono.normal_ordered():
-            if any(not creation for _, creation in term.word):
-                continue
-            modes = [mode for mode, _ in term.word]
-            occ = [0] * n
-            for mode in modes:
-                occ[mode - 1] = 1
-            state[basis_index(occ)] += term.coefficient
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -423,36 +347,26 @@ def run_fermion_protocol(eps: float = EPS) -> ProtocolTrace:
     c = {j: creator_matrix(n, j) for j in range(1, 6)}
     psi = 0.5 * ((c[1] + c[2]) @ c[3] @ (c[4] + c[5]) @ vacuum_state(n))
 
-    def checkpoint(label: str, state: np.ndarray) -> ProtocolStep:
+    def reduce(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rho = dyad(state)
-        mediator = fermionic_partial_trace_modes(rho, n, (1, 2, 4, 5))
-        matter = fermionic_partial_trace(rho, n, 3)
-        return ProtocolStep(label, state, mediator, matter)
+        return fermionic_partial_trace_modes(rho, n, (1, 2, 4, 5)), fermionic_partial_trace(rho, n, 3)
 
-    steps = [checkpoint("initial", psi)]
-    for label, (a, b) in (("swap(2,3)", (2, 3)), ("swap(3,4)", (3, 4)), ("swap(2,3)", (2, 3))):
-        psi = fermionic_swap(n, a, b) @ psi
-        steps.append(checkpoint(label, psi))
+    def swap(a: int, b: int):
+        return f"swap({a},{b})", lambda state: fermionic_swap(n, a, b) @ state
 
-    matter_final = steps[-1].matter
-    rho_q1 = fermionic_partial_trace_modes(matter_final, 4, (3, 4))
-    rho_q2 = fermionic_partial_trace_modes(matter_final, 4, (1, 2))
-    x1 = hopping_observable(4, 1, 2)
-    x2 = hopping_observable(4, 3, 4)
-    x_local = hopping_observable(2, 1, 2)
-
-    obs_q1 = LocalObservableSet("Q1", enumerate_physical_observables(4, (1, 2)).matrices)
-    obs_q2 = LocalObservableSet("Q2", enumerate_physical_observables(4, (3, 4)).matrices)
-    report = uncorrelated_test(matter_final, obs_q1, obs_q2, eps=eps)
-
-    summary = {
-        "mediator_sequence": [step.mediator for step in steps],
-        "rho_q1": rho_q1,
-        "rho_q2": rho_q2,
-        "x1_expect": float(np.real(np.trace(x_local @ rho_q1))),
-        "x2_expect": float(np.real(np.trace(x_local @ rho_q2))),
-        "x1x2_expect": float(np.real(np.trace(x1 @ x2 @ matter_final))),
-        "matter_purity": purity(matter_final, eps),
-        "initial_report": uncorrelated_test(steps[0].matter, obs_q1, obs_q2, eps=eps),
-    }
-    return ProtocolTrace("fermion", steps, report, summary)
+    return run_protocol(
+        "fermion",
+        psi,
+        (swap(a, b) for a, b in ((2, 3), (3, 4), (2, 3))),
+        reduce,
+        lambda matter: (
+            fermionic_partial_trace_modes(matter, 4, (3, 4)),
+            fermionic_partial_trace_modes(matter, 4, (1, 2)),
+        ),
+        (hopping_observable(2, 1, 2), hopping_observable(4, 1, 2), hopping_observable(4, 3, 4)),
+        (
+            LocalObservableSet("Q1", enumerate_physical_observables(4, (1, 2)).matrices),
+            LocalObservableSet("Q2", enumerate_physical_observables(4, (3, 4)).matrices),
+        ),
+        eps=eps,
+    )

@@ -5,9 +5,10 @@ into a total charge z drawn from ``FUSION_OUTCOMES[(x, y)]``.  The pair
 (1, 1) is the only one with two outcomes, {0, 2}, which is the sole source of
 the hidden coupling degree of freedom exploited by the protocol.  Composition
 is non-associative: the two association orders of three subsystems give
-isomorphic but distinct bases related by a recoupling move (``f_move``) that
-acts as a relabeling except on the all-charge-1 block, where it is the 2x2
-Hadamard.
+isomorphic but distinct bases related by a recoupling move that acts as a
+relabeling except on the all-charge-1 block, where it is the 2x2 Hadamard
+``P_LEFT_TO_RIGHT`` (the general three-leaf tree engine that derives it is
+test code, in tests/test_ising_anyon.py).
 
 Protocol sector
 ---------------
@@ -30,13 +31,12 @@ The qubit encoding identifies |0> with pair charge labels (1, 0) and |1> with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .statecore import EPS, dagger, is_hermitian
-from .witness import LocalObservableSet, ProtocolStep, ProtocolTrace, purity, uncorrelated_test
+from .statecore import EPS, dagger, partial_trace, tensor
+from .witness import LocalObservableSet, ProtocolTrace, purity, run_protocol
 
 CHARGES = (0, 1, 2)
 
@@ -65,92 +65,6 @@ def fusion_allowed(x: int, y: int, z: int) -> bool:
     return (x, y) in FUSION_OUTCOMES and z in FUSION_OUTCOMES[(x, y)]
 
 
-def pair_labels() -> list[tuple[int, int, int]]:
-    """All valid (x, y, z) labels of a fused pair; 10 of them, 3/4/3 by z."""
-    return [(x, y, z) for x in CHARGES for y in CHARGES for z in fusion_outcomes(x, y)]
-
-
-# ---------------------------------------------------------------------------
-# general three-leaf fusion trees and the recoupling move
-
-
-@dataclass(frozen=True)
-class LeftTreeLabel:
-    """Basis label of ((x0, x1), x2): inner charge z01, total charge g."""
-
-    x0: int
-    x1: int
-    x2: int
-    z01: int
-    g: int
-
-    def is_valid(self) -> bool:
-        return fusion_allowed(self.x0, self.x1, self.z01) and fusion_allowed(self.z01, self.x2, self.g)
-
-
-@dataclass(frozen=True)
-class RightTreeLabel:
-    """Basis label of (x0, (x1, x2)): inner charge z12, total charge g."""
-
-    x0: int
-    x1: int
-    x2: int
-    z12: int
-    g: int
-
-    def is_valid(self) -> bool:
-        return fusion_allowed(self.x1, self.x2, self.z12) and fusion_allowed(self.x0, self.z12, self.g)
-
-
-def left_tree_labels() -> list[LeftTreeLabel]:
-    out = []
-    for x0 in CHARGES:
-        for x1 in CHARGES:
-            for x2 in CHARGES:
-                for z01 in fusion_outcomes(x0, x1):
-                    for g in fusion_outcomes(z01, x2):
-                        out.append(LeftTreeLabel(x0, x1, x2, z01, g))
-    return out
-
-
-def right_tree_labels() -> list[RightTreeLabel]:
-    out = []
-    for x0 in CHARGES:
-        for x1 in CHARGES:
-            for x2 in CHARGES:
-                for z12 in fusion_outcomes(x1, x2):
-                    for g in fusion_outcomes(x0, z12):
-                        out.append(RightTreeLabel(x0, x1, x2, z12, g))
-    return out
-
-
-def f_move(label: LeftTreeLabel) -> dict[RightTreeLabel, complex]:
-    """Re-associate a left tree into the right-tree basis.
-
-    Identity relabeling everywhere except the block x0 = x1 = x2 = g = 1,
-    where the two inner charges {0, 2} mix through the Hadamard with
-    coefficients +-1/sqrt(2).
-    """
-    if not isinstance(label, LeftTreeLabel) or not label.is_valid():
-        raise ValueError(f"bad-fusion-tree: invalid left label {label}")
-    x0, x1, x2, z01, g = label.x0, label.x1, label.x2, label.z01, label.g
-    if (x0, x1, x2, g) == (1, 1, 1, 1):
-        s = 1.0 / np.sqrt(2.0)
-        sign = 1.0 if z01 == 0 else -1.0
-        return {
-            RightTreeLabel(1, 1, 1, 0, 1): s,
-            RightTreeLabel(1, 1, 1, 2, 1): sign * s,
-        }
-    matches = [
-        z12
-        for z12 in fusion_outcomes(x1, x2)
-        if fusion_allowed(x0, z12, g)
-    ]
-    if len(matches) != 1:
-        raise ValueError(f"bad-fusion-tree: ambiguous re-association of {label}")
-    return {RightTreeLabel(x0, x1, x2, matches[0], g): 1.0}
-
-
 # ---------------------------------------------------------------------------
 # the restricted protocol sector
 
@@ -161,10 +75,6 @@ class Partition(Enum):
     CENTER = "center"  # (Q1 Q2) M, internal label t
     LEFT = "left"      # (Q1 M) Q2, internal label h1
     RIGHT = "right"    # Q1 (M Q2), internal label h2
-
-    @property
-    def internal_label(self) -> str:
-        return {"center": "t", "left": "h1", "right": "h2"}[self.value]
 
 
 INTERNAL_VALUES = (0, 2)
@@ -203,9 +113,6 @@ class AnyonState:
 
     def __setattr__(self, name, value):
         raise AttributeError("AnyonState is immutable")
-
-    def amplitude(self, x1: int, x2: int, internal: int) -> complex:
-        return complex(self.amps[sector_index(x1, x2, internal)])
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -246,29 +153,28 @@ def change_partition(state: AnyonState, dst: Partition) -> AnyonState:
 # system-local protocol unitaries (diagonal-in-one-partition actions)
 
 
-def _phase_on_internal2(state: AnyonState, phase_for_x2: dict[int, complex]) -> AnyonState:
-    amps = state.amps.copy()
+def _phase_mq2(state: AnyonState, phase_for_x2: dict[int, complex]) -> AnyonState:
+    """Multiply the internal = 2 amplitudes of the right-hand partition by a
+    phase that depends on x2, and return to the state's own partition."""
+    amps = change_partition(state, Partition.RIGHT).amps.copy()
     for x1 in (0, 1):
         for x2 in (0, 1):
             amps[sector_index(x1, x2, 2)] *= phase_for_x2[x2]
-    return AnyonState(state.shape, amps)
+    return change_partition(AnyonState(Partition.RIGHT, amps), state.shape)
 
 
+# The phases are written as literals, not as conjugates of each other:
+# np.conj(1j) is 0-1j but -1.0j is -0-1j, and the sign of that zero reaches
+# the reported amplitudes.
 def unitary_u_mq2(state: AnyonState) -> AnyonState:
     """Controlled phase local in M Q2: on internal = 2, multiply the x2 = 1
     branch by +i and the x2 = 0 branch by -i; identity on internal = 0."""
-    original = state.shape
-    s = change_partition(state, Partition.RIGHT)
-    s = _phase_on_internal2(s, {1: 1.0j, 0: -1.0j})
-    return change_partition(s, original)
+    return _phase_mq2(state, {1: 1.0j, 0: -1.0j})
 
 
 def unitary_w_mq2(state: AnyonState) -> AnyonState:
     """Inverse of the controlled phase: conjugate phases on internal = 2."""
-    original = state.shape
-    s = change_partition(state, Partition.RIGHT)
-    s = _phase_on_internal2(s, {1: -1.0j, 0: 1.0j})
-    return change_partition(s, original)
+    return _phase_mq2(state, {1: -1.0j, 0: 1.0j})
 
 
 def unitary_v_q1m(state: AnyonState) -> AnyonState:
@@ -280,20 +186,6 @@ def unitary_v_q1m(state: AnyonState) -> AnyonState:
         a, b = sector_index(0, x2, 2), sector_index(1, x2, 2)
         amps[a], amps[b] = amps[b], amps[a]
     return change_partition(AnyonState(Partition.LEFT, amps), original)
-
-
-EMBEDDED_UNITARIES = {
-    "U_MQ2": unitary_u_mq2,
-    "V_Q1M": unitary_v_q1m,
-    "W_MQ2": unitary_w_mq2,
-}
-
-
-def embedded_unitary(which: str):
-    try:
-        return EMBEDDED_UNITARIES[which]
-    except KeyError:
-        raise ValueError(f"unknown protocol unitary {which!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +200,8 @@ def trace_mediator(state: AnyonState) -> np.ndarray:
     result is t-block-diagonal on the (x1, x2, t) basis.
     """
     c = change_partition(state, Partition.CENTER).amps
-    rho = np.outer(c, c.conj())
-    for a, (_, _, ta) in enumerate(SECTOR_BASIS):
-        for b, (_, _, tb) in enumerate(SECTOR_BASIS):
-            if ta != tb:
-                rho[a, b] = 0.0
-    return rho
+    t = np.array([u for _, _, u in SECTOR_BASIS])
+    return np.where(np.equal.outer(t, t), np.outer(c, c.conj()), 0.0)
 
 
 def trace_matter_to_mediator(state: AnyonState) -> np.ndarray:
@@ -329,30 +217,15 @@ def trace_matter_to_mediator(state: AnyonState) -> np.ndarray:
     return rho
 
 
+# SECTOR_BASIS orders the matter basis as the tensor product x1 (x) x2 (x) t.
 def trace_q2(matter_op: np.ndarray) -> np.ndarray:
     """Reduce an (x1, x2, t) matter operator to the 2-dim x1 label space."""
-    matter_op = np.asarray(matter_op, dtype=complex)
-    if matter_op.shape != (SECTOR_DIM, SECTOR_DIM):
-        raise ValueError("bad-partition: matter operator must be 8x8")
-    out = np.zeros((2, 2), dtype=complex)
-    for a, (x1a, x2a, ta) in enumerate(SECTOR_BASIS):
-        for b, (x1b, x2b, tb) in enumerate(SECTOR_BASIS):
-            if x2a == x2b and ta == tb:
-                out[x1a, x1b] += matter_op[a, b]
-    return out
+    return partial_trace(matter_op, [2, 2, 2], [0])
 
 
 def trace_q1(matter_op: np.ndarray) -> np.ndarray:
     """Reduce an (x1, x2, t) matter operator to the 2-dim x2 label space."""
-    matter_op = np.asarray(matter_op, dtype=complex)
-    if matter_op.shape != (SECTOR_DIM, SECTOR_DIM):
-        raise ValueError("bad-partition: matter operator must be 8x8")
-    out = np.zeros((2, 2), dtype=complex)
-    for a, (x1a, x2a, ta) in enumerate(SECTOR_BASIS):
-        for b, (x1b, x2b, tb) in enumerate(SECTOR_BASIS):
-            if x1a == x1b and ta == tb:
-                out[x2a, x2b] += matter_op[a, b]
-    return out
+    return partial_trace(matter_op, [2, 2, 2], [1])
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +243,8 @@ def local_z() -> np.ndarray:
 
 
 def _embed(op2: np.ndarray, sector: int) -> np.ndarray:
-    out = np.zeros((SECTOR_DIM, SECTOR_DIM), dtype=complex)
-    for a, (x1a, x2a, ta) in enumerate(SECTOR_BASIS):
-        for b, (x1b, x2b, tb) in enumerate(SECTOR_BASIS):
-            if ta != tb:
-                continue
-            if sector == 1 and x2a == x2b:
-                out[a, b] = op2[x1a, x1b]
-            elif sector == 2 and x1a == x1b:
-                out[a, b] = op2[x2a, x2b]
-    return out
+    eye = np.eye(2)
+    return tensor(op2, eye, eye) if sector == 1 else tensor(eye, op2, eye)
 
 
 def embedded_x(sector: int) -> np.ndarray:
@@ -397,7 +262,6 @@ def matter_observable_set(sector: int) -> LocalObservableSet:
     z = embedded_z(sector)
     y = 0.5j * (x @ z - z @ x)
     eye = np.eye(SECTOR_DIM, dtype=complex)
-    assert all(is_hermitian(m) for m in (x, z, y))
     return LocalObservableSet(f"Q{sector}", (eye, x, z, y))
 
 
@@ -413,70 +277,44 @@ def initial_protocol_state() -> AnyonState:
     return AnyonState(Partition.CENTER, amps)
 
 
-def bell_matter_state() -> np.ndarray:
-    """Amplitudes of the encoded (|00> + |11>)/sqrt(2) on the matter basis."""
-    amps = np.zeros(SECTOR_DIM, dtype=complex)
-    amps[sector_index(1, 1, 0)] = 1.0 / _SQ2
-    amps[sector_index(0, 0, 0)] = 1.0 / _SQ2
-    return amps
+#: The protocol states shown for comparison: (name, checkpoint, partition).
+DISPLAYS = (
+    ("initial_center", 0, Partition.CENTER), ("initial_right", 0, Partition.RIGHT),
+    ("after_u_right", 1, Partition.RIGHT), ("after_u_left", 1, Partition.LEFT),
+    ("after_v_left", 2, Partition.LEFT), ("after_v_right", 2, Partition.RIGHT),
+    ("after_w_right", 3, Partition.RIGHT), ("final_center", 3, Partition.CENTER),
+)
 
 
 def run_anyon_protocol(eps: float = EPS) -> ProtocolTrace:
     """Entangle the two encoded matter qubits with a mediator that stays pure.
 
     Applies the system-local sequence U (in M Q2), V (in Q1 M), W (in M Q2) to
-    the encoded |0> (x) |+> state.  Each checkpoint records the state in its
-    natural partition together with both reductions; the summary carries the
-    state re-expressed in every partition for amplitude-level comparison.
+    the encoded |0> (x) |+> state.  Each checkpoint records the state in the
+    partition its gate acts in, together with both reductions; the summary
+    carries the ``DISPLAYS`` of the states for amplitude-level comparison and
+    the mediator purity at every checkpoint.
     """
-    psi0 = initial_protocol_state()
 
-    def checkpoint(label: str, state: AnyonState) -> ProtocolStep:
-        return ProtocolStep(label, state, trace_matter_to_mediator(state), trace_mediator(state))
+    def gate(label: str, unitary, shape: Partition):
+        return label, lambda state: unitary(change_partition(state, shape))
 
-    psi0_right = change_partition(psi0, Partition.RIGHT)
-    after_u = unitary_u_mq2(psi0_right)
-    after_u_left = change_partition(after_u, Partition.LEFT)
-    after_v = unitary_v_q1m(after_u_left)
-    after_v_right = change_partition(after_v, Partition.RIGHT)
-    after_w = unitary_w_mq2(after_v_right)
-    final_center = change_partition(after_w, Partition.CENTER)
-
-    steps = [
-        checkpoint("initial", psi0),
-        checkpoint("u_mq2", after_u),
-        checkpoint("v_q1m", after_v),
-        checkpoint("w_mq2", after_w),
-    ]
-
-    matter_final = steps[-1].matter
-    rho_q1 = trace_q2(matter_final)
-    rho_q2 = trace_q1(matter_final)
-    x1 = embedded_x(1)
-    x2 = embedded_x(2)
-
-    set_q1 = matter_observable_set(1)
-    set_q2 = matter_observable_set(2)
-    report = uncorrelated_test(matter_final, set_q1, set_q2, eps=eps)
-
-    summary = {
-        "displays": {
-            "initial_center": psi0.amps,
-            "initial_right": psi0_right.amps,
-            "after_u_right": after_u.amps,
-            "after_u_left": after_u_left.amps,
-            "after_v_left": after_v.amps,
-            "after_v_right": after_v_right.amps,
-            "after_w_right": after_w.amps,
-            "final_center": final_center.amps,
-        },
-        "mediator_purities": [purity(step.mediator, eps) for step in steps],
-        "rho_q1": rho_q1,
-        "rho_q2": rho_q2,
-        "x1_expect": float(np.real(np.trace(local_x() @ rho_q1))),
-        "x2_expect": float(np.real(np.trace(local_x() @ rho_q2))),
-        "x1x2_expect": float(np.real(np.trace(x1 @ x2 @ matter_final))),
-        "matter_purity": purity(matter_final, eps),
-        "initial_report": uncorrelated_test(steps[0].matter, set_q1, set_q2, eps=eps),
+    trace = run_protocol(
+        "anyon",
+        initial_protocol_state(),
+        (
+            gate("u_mq2", unitary_u_mq2, Partition.RIGHT),
+            gate("v_q1m", unitary_v_q1m, Partition.LEFT),
+            gate("w_mq2", unitary_w_mq2, Partition.RIGHT),
+        ),
+        lambda state: (trace_matter_to_mediator(state), trace_mediator(state)),
+        lambda matter: (trace_q2(matter), trace_q1(matter)),
+        (local_x(), embedded_x(1), embedded_x(2)),
+        (matter_observable_set(1), matter_observable_set(2)),
+        eps=eps,
+    )
+    trace.summary["displays"] = {
+        name: change_partition(trace.steps[index].state, shape).amps for name, index, shape in DISPLAYS
     }
-    return ProtocolTrace("anyon", steps, report, summary)
+    trace.summary["mediator_purities"] = [purity(step.mediator, eps) for step in trace.steps]
+    return trace

@@ -73,18 +73,6 @@ def is_density(m: np.ndarray, eps: float = EPS) -> bool:
     return bool(np.min(np.linalg.eigvalsh(m)) >= -eps)
 
 
-def is_unit_vector(v: np.ndarray, eps: float = EPS) -> bool:
-    return close(np.linalg.norm(np.asarray(v)), 1.0, eps)
-
-
-def normalized(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise ValueError("cannot normalize the zero vector")
-    return v / n
-
-
 def dyad(v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     """|v><w| as a matrix (w defaults to v)."""
     v = np.asarray(v, dtype=complex)

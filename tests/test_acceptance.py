@@ -34,10 +34,10 @@ from bmvsim.ising_anyon import (
     AnyonState,
     Partition,
     SECTOR_DIM,
-    bell_matter_state,
     change_partition,
     partition_matrix,
     run_anyon_protocol,
+    sector_index,
 )
 from bmvsim.statecore import (
     EPS,
@@ -54,6 +54,13 @@ from bmvsim.statecore import (
 from bmvsim.witness import schmidt_rank
 
 SQ2 = np.sqrt(2.0)
+
+
+def bell_matter_state():
+    """The encoded (|00> + |11>)/sqrt(2) on the anyon matter basis."""
+    v = np.zeros(SECTOR_DIM, dtype=complex)
+    v[[sector_index(1, 1, 0), sector_index(0, 0, 0)]] = 1 / SQ2
+    return v
 
 
 def _verdict(index: int, name: str, passed: bool, detail: str = ""):

@@ -85,6 +85,9 @@ def test_mediator_bits_usage_errors(capsys):
     assert code == EXIT_USAGE and "bitantibit" in err
     code, _, _ = run_cli(capsys, ["run", "bitantibit", "--mediator-bits", "1"])
     assert code == EXIT_USAGE
+    # 2^64 mediator states: rejected by the memory cap before anything is built
+    code, _, err = run_cli(capsys, ["run", "bitantibit", "--mediator-bits", "64"])
+    assert code == EXIT_USAGE and "at most" in err
 
 
 def test_unknown_model_exits_2(capsys):

@@ -1,4 +1,8 @@
-"""Fast fermionic kernels checked against the straightforward reference code."""
+"""Reference code for the fermionic kernels: the fast kernels are checked
+against it here, and the symbolic normal-ordering oracle is shared with
+test_fermion_ssr."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,10 +14,84 @@ from bmvsim.fermion_ssr import (
     _independent_subset,
     _parity_signs,
     annihilator_matrix,
+    basis_index,
     enumerate_physical_observables,
     word_matrix,
 )
 from bmvsim.statecore import dagger, mat_close
+
+#: word entry: (mode index, is_creation)
+WordAtom = tuple[int, bool]
+Word = tuple[WordAtom, ...]
+
+
+@dataclass(frozen=True)
+class FermionMonomial:
+    """A coefficient times an ordered word of creators/annihilators.
+
+    Normal ordering rewrites the word, via the anticommutation relations,
+    into the canonical form "creators ascending by mode, then annihilators
+    descending by mode"; repeated operators annihilate the monomial.
+    """
+
+    coefficient: complex
+    word: Word
+
+    @property
+    def parity(self) -> int:
+        return len(self.word) % 2
+
+    def normal_ordered(self) -> tuple["FermionMonomial", ...]:
+        terms: dict[Word, complex] = {}
+        stack: list[tuple[complex, Word]] = [(complex(self.coefficient), tuple(self.word))]
+        while stack:
+            coeff, word = stack.pop()
+            action = None
+            for i in range(len(word) - 1):
+                (m1, d1), (m2, d2) = word[i], word[i + 1]
+                if (not d1) and d2:
+                    action = ("contract", i)
+                    break
+                if d1 == d2 and m1 == m2:
+                    action = ("zero", i)
+                    break
+                if d1 and d2 and m1 > m2:
+                    action = ("swap", i)
+                    break
+                if (not d1) and (not d2) and m1 < m2:
+                    action = ("swap", i)
+                    break
+            if action is None:
+                terms[word] = terms.get(word, 0.0) + coeff
+                continue
+            kind, i = action
+            if kind == "zero":
+                continue
+            swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
+            stack.append((-coeff, swapped))
+            if kind == "contract" and word[i][0] == word[i + 1][0]:
+                stack.append((coeff, word[:i] + word[i + 2 :]))
+        out = [FermionMonomial(c, w) for w, c in sorted(terms.items()) if abs(c) > 1e-14]
+        return tuple(out)
+
+    def matrix(self, n: int) -> np.ndarray:
+        return self.coefficient * word_matrix(n, self.word)
+
+
+def apply_monomials_to_vacuum(n: int, monomials) -> np.ndarray:
+    """State vector of (sum of normal-ordered monomials)|vac>."""
+    state = np.zeros(1 << n, dtype=complex)
+    for mono in monomials:
+        for term in mono.normal_ordered():
+            if any(not creation for _, creation in term.word):
+                continue
+            modes = [mode for mode, _ in term.word]
+            occ = [0] * n
+            for mode in modes:
+                occ[mode - 1] = 1
+            state[basis_index(occ)] += term.coefficient
+    return state
+
 
 # (n, modes) of every enumeration the package runs: full registers for the
 # tomography count, and the subsets of the protocol and the acceptance suite.

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from bmvsim.fermion_ssr import (
-    FermionMonomial,
     annihilator_matrix,
-    apply_monomials_to_vacuum,
     basis_index,
     count_scaling_check,
     creator_matrix,
@@ -21,6 +19,7 @@ from bmvsim.fermion_ssr import (
     word_matrix,
 )
 from bmvsim.statecore import EPS, commutator, dagger, dyad, in_span, is_hermitian, mat_close
+from test_fermion_oracles import FermionMonomial, apply_monomials_to_vacuum
 
 
 def test_basis_indexing():

@@ -1,28 +1,24 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from bmvsim.ising_anyon import (
+    CHARGES,
+    P_LEFT_TO_RIGHT,
     AnyonState,
-    LeftTreeLabel,
     Partition,
-    RightTreeLabel,
     SECTOR_BASIS,
     SECTOR_DIM,
-    bell_matter_state,
     change_partition,
-    embedded_unitary,
     embedded_x,
     embedded_z,
-    f_move,
     fusion_allowed,
     fusion_outcomes,
     initial_protocol_state,
-    left_tree_labels,
     local_x,
     matter_observable_set,
-    pair_labels,
     partition_matrix,
-    right_tree_labels,
     run_anyon_protocol,
     sector_index,
     trace_matter_to_mediator,
@@ -39,11 +35,107 @@ SQ2 = np.sqrt(2.0)
 SHAPES = (Partition.CENTER, Partition.LEFT, Partition.RIGHT)
 
 
+# ---------------------------------------------------------------------------
+# general three-leaf fusion trees and the recoupling move: the reference that
+# the hand-pinned partition matrices of the protocol sector are checked against
+
+
+def pair_labels() -> list[tuple[int, int, int]]:
+    """All valid (x, y, z) labels of a fused pair; 10 of them, 3/4/3 by z."""
+    return [(x, y, z) for x in CHARGES for y in CHARGES for z in fusion_outcomes(x, y)]
+
+
+@dataclass(frozen=True)
+class LeftTreeLabel:
+    """Basis label of ((x0, x1), x2): inner charge z01, total charge g."""
+
+    x0: int
+    x1: int
+    x2: int
+    z01: int
+    g: int
+
+    def is_valid(self) -> bool:
+        return fusion_allowed(self.x0, self.x1, self.z01) and fusion_allowed(self.z01, self.x2, self.g)
+
+
+@dataclass(frozen=True)
+class RightTreeLabel:
+    """Basis label of (x0, (x1, x2)): inner charge z12, total charge g."""
+
+    x0: int
+    x1: int
+    x2: int
+    z12: int
+    g: int
+
+    def is_valid(self) -> bool:
+        return fusion_allowed(self.x1, self.x2, self.z12) and fusion_allowed(self.x0, self.z12, self.g)
+
+
+def left_tree_labels() -> list[LeftTreeLabel]:
+    out = []
+    for x0 in CHARGES:
+        for x1 in CHARGES:
+            for x2 in CHARGES:
+                for z01 in fusion_outcomes(x0, x1):
+                    for g in fusion_outcomes(z01, x2):
+                        out.append(LeftTreeLabel(x0, x1, x2, z01, g))
+    return out
+
+
+def right_tree_labels() -> list[RightTreeLabel]:
+    out = []
+    for x0 in CHARGES:
+        for x1 in CHARGES:
+            for x2 in CHARGES:
+                for z12 in fusion_outcomes(x1, x2):
+                    for g in fusion_outcomes(x0, z12):
+                        out.append(RightTreeLabel(x0, x1, x2, z12, g))
+    return out
+
+
+def f_move(label: LeftTreeLabel) -> dict[RightTreeLabel, complex]:
+    """Re-associate a left tree into the right-tree basis.
+
+    Identity relabeling everywhere except the block x0 = x1 = x2 = g = 1,
+    where the two inner charges {0, 2} mix through the Hadamard with
+    coefficients +-1/sqrt(2).
+    """
+    if not isinstance(label, LeftTreeLabel) or not label.is_valid():
+        raise ValueError(f"bad-fusion-tree: invalid left label {label}")
+    x0, x1, x2, z01, g = label.x0, label.x1, label.x2, label.z01, label.g
+    if (x0, x1, x2, g) == (1, 1, 1, 1):
+        s = 1.0 / np.sqrt(2.0)
+        sign = 1.0 if z01 == 0 else -1.0
+        return {
+            RightTreeLabel(1, 1, 1, 0, 1): s,
+            RightTreeLabel(1, 1, 1, 2, 1): sign * s,
+        }
+    matches = [
+        z12
+        for z12 in fusion_outcomes(x1, x2)
+        if fusion_allowed(x0, z12, g)
+    ]
+    if len(matches) != 1:
+        raise ValueError(f"bad-fusion-tree: ambiguous re-association of {label}")
+    return {RightTreeLabel(x0, x1, x2, matches[0], g): 1.0}
+
+
+# ---------------------------------------------------------------------------
+# the protocol sector
+
+
 def _state(entries, shape=Partition.CENTER):
     v = np.zeros(SECTOR_DIM, dtype=complex)
     for (x1, x2, u), a in entries.items():
         v[sector_index(x1, x2, u)] = a
     return AnyonState(shape, v / np.linalg.norm(v))
+
+
+def bell_matter_state():
+    """The encoded (|00> + |11>)/sqrt(2): the protocol's final matter state."""
+    return _state({(1, 1, 0): 1.0, (0, 0, 0): 1.0}).amps
 
 
 def test_fusion_table():
@@ -83,6 +175,14 @@ def test_f_move_hadamard_block():
     assert mat_close(np.array([out0[RightTreeLabel(1, 1, 1, 0, 1)], out0[RightTreeLabel(1, 1, 1, 2, 1)]]), np.array([s, s]))
     out2 = f_move(LeftTreeLabel(1, 1, 1, 2, 1))
     assert mat_close(np.array([out2[RightTreeLabel(1, 1, 1, 0, 1)], out2[RightTreeLabel(1, 1, 1, 2, 1)]]), np.array([s, -s]))
+
+
+def test_f_move_block_is_the_pinned_left_to_right_matrix():
+    # rows: right-tree inner charge z12 (h2), columns: left-tree z01 (h1)
+    block = np.array(
+        [[f_move(LeftTreeLabel(1, 1, 1, z01, 1))[RightTreeLabel(1, 1, 1, z12, 1)] for z01 in (0, 2)] for z12 in (0, 2)]
+    )
+    assert mat_close(block, P_LEFT_TO_RIGHT, EPS)
 
 
 def test_f_move_identity_case():
@@ -186,14 +286,6 @@ def test_w_inverts_u():
         state = AnyonState(Partition.RIGHT, random_state(SECTOR_DIM, rng))
         out = unitary_w_mq2(unitary_u_mq2(state))
         assert mat_close(out.amps, state.amps, EPS)
-
-
-def test_embedded_unitary_dispatch():
-    assert embedded_unitary("U_MQ2") is unitary_u_mq2
-    assert embedded_unitary("V_Q1M") is unitary_v_q1m
-    assert embedded_unitary("W_MQ2") is unitary_w_mq2
-    with pytest.raises(ValueError):
-        embedded_unitary("nope")
 
 
 def _label_marginal(state: AnyonState, which: str) -> np.ndarray:

@@ -179,6 +179,21 @@ def test_bit_antibit_verdict_matches_schmidt_oracle():
     assert trace.summary["initial_report"].uncorrelated
 
 
+def test_entangled_verdict_uses_the_callers_eps():
+    # a Bell state mixed with weight 5e-9 of |01>: purity 1 - 1e-8, pure at eps 1e-7
+    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    other = np.array([0, 1, 0, 0], dtype=complex)
+    weight = 5e-9
+    rho = (1 - weight) * dyad(bell) + weight * dyad(other)
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+    set_a = LocalObservableSet("A", tuple(tensor(p, np.eye(2)) for p in paulis))
+    set_b = LocalObservableSet("B", tuple(tensor(np.eye(2), p) for p in paulis))
+    report = uncorrelated_test(rho, set_a, set_b, eps=1e-7)
+    assert abs(report.purity - (1 - 1e-8)) <= 1e-15
+    assert not report.uncorrelated
+    assert report.entangled
+
+
 def test_schmidt_rank_values():
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     assert schmidt_rank(bell, 2, 2) == 2
