@@ -21,7 +21,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .statecore import EPS, dyad, hermitian_basis, partial_trace, tensor
+from .statecore import EPS, hermitian_basis, partial_trace, reduce_pure, tensor
 from .witness import LocalObservableSet, ProtocolTrace, run_protocol
 
 
@@ -107,9 +107,11 @@ def validate_state(sig: SystemSignature, vec: np.ndarray, eps: float = EPS) -> t
 
 
 def swap_bits(sig: SystemSignature, b1: str, b2: str) -> np.ndarray:
-    """Permutation matrix exchanging the slots of two bits.
+    """Basis-index permutation exchanging the slots of two bits.
 
-    Only bits may be swapped; the mediation protocol never moves anti-bits.
+    ``state[swap_bits(sig, b1, b2)]`` applies the swap; a swap is an
+    involution, so the permutation is its own inverse.  Only bits may be
+    swapped; the mediation protocol never moves anti-bits.
     """
     for label in (b1, b2):
         if label not in sig.ordering:
@@ -121,15 +123,9 @@ def swap_bits(sig: SystemSignature, b1: str, b2: str) -> np.ndarray:
     bits = sig.slots
     p1 = bits - 1 - sig.slot_of(b1)
     p2 = bits - 1 - sig.slot_of(b2)
-    mat = np.zeros((sig.dim, sig.dim), dtype=complex)
-    for idx in range(sig.dim):
-        v1 = (idx >> p1) & 1
-        v2 = (idx >> p2) & 1
-        new = idx & ~(1 << p1) & ~(1 << p2)
-        new |= v2 << p1
-        new |= v1 << p2
-        mat[new, idx] = 1.0
-    return mat
+    idx = np.arange(sig.dim)
+    differ = ((idx >> p1) ^ (idx >> p2)) & 1
+    return idx ^ (differ << p1) ^ (differ << p2)
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +185,10 @@ def run_bit_antibit_protocol(mediator_bits: int = 2, eps: float = EPS) -> Protoc
     matter_slots = [sig.slot_of(s) for s in ("A1", "B1", f"B{k + 2}", "A2")]
 
     def swap(b1: str, b2: str):
-        return f"swap({b1},{b2})", lambda state: swap_bits(sig, b1, b2) @ state
+        return f"swap({b1},{b2})", lambda state: state[swap_bits(sig, b1, b2)]
 
     def reduce(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rho = dyad(state)
-        return partial_trace(rho, dims, mediator_slots), partial_trace(rho, dims, matter_slots)
+        return reduce_pure(state, dims, mediator_slots), reduce_pure(state, dims, matter_slots)
 
     x_pair = pair_flip_observable()
     eye = np.eye(4)

@@ -40,12 +40,11 @@ EXIT_IO = 3
 
 MODELS = tuple(RUNNERS)
 
-# `run bitantibit --mediator-bits k` builds dense 2^(k+4)-square matrices of
-# 2^(2k+12) bytes: 256 MiB at k = 8, and 1 GiB at k = 9, where a checkpoint's
-# density matrix and its first partial-trace temporary take 1.5 GiB together.
-# k = 8 peaks at 388 MiB RSS in any format (k = 7 at 119 MiB, on a 2-vCPU
-# Xeon), so a 1 GiB budget allows k <= 8; a larger k is rejected before
-# anything is allocated.
+# `run bitantibit --mediator-bits k` costs what its report holds, 2k + 2
+# mediator matrices of 4^k entries.  Peak RSS and wall time per command, json /
+# text, on a 2-vCPU Xeon: k = 6 50 / 41 MiB, 0.28 / 0.12 s; k = 7 103 / 74 MiB,
+# 0.90 / 0.21 s; k = 8 340 / 223 MiB, 3.9 / 0.71 s.  At about 4x per k, k = 9
+# would pass a 1 GiB budget, so a larger k is rejected before it allocates.
 MAX_MEDIATOR_BITS = 8
 
 
@@ -57,17 +56,10 @@ class UsageError(Exception):
 # serialization helpers
 
 
-def _num(z) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def _vec(v) -> list:
-    return [_num(z) for z in np.asarray(v).reshape(-1)]
-
-
-def _mat(m) -> list:
-    return [[_num(z) for z in row] for row in np.asarray(m)]
+def _pairs(a) -> list:
+    """A complex vector or matrix as nested lists of [re, im] pairs."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
 def _witness_dict(report: WitnessReport) -> dict:
@@ -88,8 +80,8 @@ def _witness_dict(report: WitnessReport) -> dict:
 
 def _state_dict(state) -> dict:
     if isinstance(state, AnyonState):
-        return {"partition": state.shape.value, "amplitudes": _vec(state.amps)}
-    return {"amplitudes": _vec(state)}
+        return {"partition": state.shape.value, "amplitudes": _pairs(state.amps)}
+    return {"amplitudes": _pairs(state)}
 
 
 # ---------------------------------------------------------------------------
@@ -103,16 +95,16 @@ def build_run_report(trace: ProtocolTrace, eps: float, trace_steps: bool) -> dic
         entry: dict = {"label": step.label}
         if trace_steps:
             entry["state"] = _state_dict(step.state)
-            entry["matter"] = _mat(step.matter)
+            entry["matter"] = _pairs(step.matter)
         steps.append(entry)
     return {
         "meta": {"tool": "bmvsim", "version": __version__, "eps": eps},
         "model": trace.model,
         "steps": steps,
-        "mediator_states": [_mat(step.mediator) for step in trace.steps],
+        "mediator_states": [_pairs(step.mediator) for step in trace.steps],
         "marginals": {
-            "rho_q1": _mat(trace.summary["rho_q1"]),
-            "rho_q2": _mat(trace.summary["rho_q2"]),
+            "rho_q1": _pairs(trace.summary["rho_q1"]),
+            "rho_q2": _pairs(trace.summary["rho_q2"]),
         },
         "witness": _witness_dict(trace.report),
         "expected": [

@@ -87,6 +87,14 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
     return reduce(np.kron, (np.asarray(o, dtype=complex) for o in ops))
 
 
+def _split(dims: list[int], keep) -> tuple[list[int], list[int]]:
+    """Sorted kept and traced subsystem indices; ``keep`` must be a nonempty subset."""
+    keep = sorted(set(int(k) for k in keep))
+    if not keep or keep[0] < 0 or keep[-1] >= len(dims):
+        raise ValueError("bad-partition: keep must be a nonempty subset of subsystem indices")
+    return keep, [i for i in range(len(dims)) if i not in keep]
+
+
 def partial_trace(m: np.ndarray, dims: list[int], keep) -> np.ndarray:
     """Trace out the subsystems not listed in ``keep``.
 
@@ -100,16 +108,25 @@ def partial_trace(m: np.ndarray, dims: list[int], keep) -> np.ndarray:
     total = int(np.prod(dims))
     if m.ndim != 2 or m.shape != (total, total):
         raise ValueError("bad-partition: matrix dimension does not match subsystem dims")
-    keep = sorted(set(int(k) for k in keep))
-    if not keep or keep[0] < 0 or keep[-1] >= len(dims):
-        raise ValueError("bad-partition: keep must be a nonempty subset of subsystem indices")
+    keep, traced = _split(dims, keep)
     t = m.reshape(dims + dims)
-    traced = [i for i in range(len(dims)) if i not in keep]
     for ax in sorted(traced, reverse=True):
         half = t.ndim // 2
         t = np.trace(t, axis1=ax, axis2=ax + half)
     kept_dim = int(np.prod([dims[i] for i in keep]))
     return t.reshape(kept_dim, kept_dim)
+
+
+def reduce_pure(psi: np.ndarray, dims: list[int], keep) -> np.ndarray:
+    """``partial_trace(dyad(psi), dims, keep)`` without forming the dyad: the
+    state as a (kept, rest) matrix M gives M M^dagger, kept subsystems in
+    their original relative order."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (int(np.prod(dims)),):
+        raise ValueError("bad-partition: vector length does not match subsystem dims")
+    keep, rest = _split(dims, keep)
+    m = psi.reshape(dims).transpose(keep + rest).reshape(int(np.prod([dims[i] for i in keep])), -1)
+    return m @ m.conj().T
 
 
 def in_span(target: np.ndarray, basis, eps: float = EPS) -> tuple[bool, float]:

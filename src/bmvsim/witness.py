@@ -28,12 +28,12 @@ MatrixProduct = Callable[[np.ndarray, np.ndarray], np.ndarray]
 # input, an error rather than a verdict, so this does not follow eps.
 _IMAG_TOL = 1e-8
 
-# Floors under eps for the pure-input guard of uncorrelated_test and for the
-# singular values schmidt_rank counts.  They check inputs, not verdicts, which
-# may be asked for at an eps below float64 rounding (the CLI accepts 1e-30).
-# On the protocols' initial and final matter states the trace is off by at
-# most 7.8e-16, the lowest eigenvalue is -1.4e-16, the purity is off by
-# 1.6e-15 and a zero Schmidt coefficient reads 2.5e-16.
+# Floors under eps for the input guards of uncorrelated_test and purity, and
+# for the singular values schmidt_rank counts.  They check inputs, not
+# verdicts, which may be asked for at an eps below float64 rounding (the CLI
+# accepts 1e-30).  On the protocols' matter states and mediators the trace
+# is off by at most 7.8e-16, the lowest eigenvalue is -1.4e-16, the purity is
+# off by 1.6e-15 and a zero Schmidt coefficient reads 2.5e-16.
 _ROUNDING_FLOOR = 1e-12
 _PURITY_FLOOR = 1e-9
 
@@ -119,11 +119,12 @@ def _expectation(op: np.ndarray, rho: np.ndarray) -> float:
 def purity(rho: np.ndarray, eps: float = EPS) -> float:
     """Tr(rho^2) of a density operator; lies in [1/dim, 1]."""
     rho = np.asarray(rho, dtype=complex)
-    if not is_density(rho, eps):
+    tol = max(eps, _ROUNDING_FLOOR)
+    if not is_density(rho, tol):
         raise ValueError("not-density: purity requires a density operator")
     p = float(np.real(np.trace(rho @ rho)))
     dim = rho.shape[0]
-    if not (1.0 / dim - eps <= p <= 1.0 + eps):
+    if not (1.0 / dim - tol <= p <= 1.0 + tol):
         raise ValueError(f"not-density: purity {p} outside [1/{dim}, 1]")
     return p
 

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,34 @@ from bmvsim.bit_antibit import (
     swap_chain,
     validate_state,
 )
-from bmvsim.statecore import EPS, dyad, mat_close
+from bmvsim.statecore import EPS, dyad, mat_close, partial_trace
 
 RNG = np.random.default_rng(101)
+
+
+def dense_swap(sig: SystemSignature, b1: str, b2: str) -> np.ndarray:
+    """Test oracle: the swap as a dense permutation matrix, one basis index at a time."""
+    bits = sig.slots
+    p1 = bits - 1 - sig.slot_of(b1)
+    p2 = bits - 1 - sig.slot_of(b2)
+    mat = np.zeros((sig.dim, sig.dim), dtype=complex)
+    for idx in range(sig.dim):
+        v1 = (idx >> p1) & 1
+        v2 = (idx >> p2) & 1
+        new = idx & ~(1 << p1) & ~(1 << p2)
+        new |= v2 << p1
+        new |= v1 << p2
+        mat[new, idx] = 1.0
+    return mat
+
+
+def _bit_pairs(k: int):
+    """Every ordered pair of distinct bits of the k-mediator protocol signature."""
+    sig = protocol_signature(k)
+    return [(sig, b1, b2) for b1, b2 in permutations([s for s in sig.ordering if sig.is_bit(s)], 2)]
+
+
+ALL_BIT_PAIRS = [pair for k in (2, 3, 4) for pair in _bit_pairs(k)]
 
 
 def _vec(sig: SystemSignature, assignments: list[dict[str, int]], amps=None) -> np.ndarray:
@@ -95,22 +122,32 @@ def test_certificate_admits():
 
 
 def test_swap_is_permutation_and_involution():
-    sig = protocol_signature(2)
-    for b1, b2 in set(swap_chain(2)):
-        s = swap_bits(sig, b1, b2)
-        assert mat_close(s @ s, np.eye(sig.dim))
-        assert np.all(np.isin(np.real(s), (0.0, 1.0)))
-        assert np.all(np.sum(np.real(s), axis=0) == 1.0)
-        assert np.all(np.sum(np.real(s), axis=1) == 1.0)
-        assert np.max(np.abs(np.imag(s))) == 0.0
+    for sig, b1, b2 in ALL_BIT_PAIRS:
+        perm = swap_bits(sig, b1, b2)
+        assert perm.dtype.kind == "i"
+        assert np.array_equal(np.sort(perm), np.arange(sig.dim))
+        assert np.array_equal(perm[perm], np.arange(sig.dim))
+        assert np.array_equal(swap_bits(sig, b2, b1), perm)
+        # state[perm] is the oracle's matrix applied to state
+        assert np.array_equal(np.eye(sig.dim)[perm], dense_swap(sig, b1, b2))
 
 
 def test_swap_action_on_slots():
     sig = SystemSignature(0, 2, ("B1", "B2"))
-    s = swap_bits(sig, "B1", "B2")
     x = _vec(sig, [{"B1": 1, "B2": 0}])
     y = _vec(sig, [{"B1": 0, "B2": 1}])
-    assert mat_close(s @ x, y)
+    assert np.array_equal(x[swap_bits(sig, "B1", "B2")], y)
+    for sig, b1, b2 in ALL_BIT_PAIRS:
+        perm, dense = swap_bits(sig, b1, b2), dense_swap(sig, b1, b2)
+        for idx in range(sig.dim):
+            basis = np.zeros(sig.dim, dtype=complex)
+            basis[idx] = 1.0
+            swapped = basis[perm]
+            assert np.array_equal(swapped, dense @ basis)
+            values = sig.slot_values(int(np.flatnonzero(swapped)[0]))
+            before = sig.slot_values(idx)
+            before[b1], before[b2] = before[b2], before[b1]
+            assert values == before
 
 
 def test_swap_rejects_antibits():
@@ -141,13 +178,11 @@ def _random_valid_state(sig: SystemSignature, rng) -> np.ndarray:
 
 
 def test_swaps_preserve_validity_on_random_states():
-    sig = protocol_signature(2)
-    chain = swap_chain(2)
-    for trial in range(50):
+    for trial, (sig, b1, b2) in enumerate(ALL_BIT_PAIRS * 2):
         state = _random_valid_state(sig, RNG)
         assert validate_state(sig, state)[0], f"trial {trial} seed state invalid"
-        b1, b2 = chain[trial % len(chain)]
-        swapped = swap_bits(sig, b1, b2) @ state
+        swapped = state[swap_bits(sig, b1, b2)]
+        assert np.array_equal(swapped, dense_swap(sig, b1, b2) @ state)
         assert validate_state(sig, swapped)[0], f"trial {trial} swap({b1},{b2})"
 
 
@@ -197,19 +232,44 @@ def test_protocol_witness():
     assert trace.report.entangled
 
 
-def test_palindromic_chain_is_order_insensitive():
-    sig = protocol_signature(2)
+def _initial_state(k: int) -> np.ndarray:
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    zeros = np.zeros(4, dtype=complex)
+    zeros = np.zeros(1 << k, dtype=complex)
     zeros[0] = 1.0
-    psi0 = np.kron(np.kron(bell, zeros), bell)
-    forward = psi0.copy()
-    backward = psi0.copy()
-    for b1, b2 in swap_chain(2):
-        forward = swap_bits(sig, b1, b2) @ forward
-    for b1, b2 in reversed(swap_chain(2)):
-        backward = swap_bits(sig, b1, b2) @ backward
-    assert mat_close(forward, backward)
+    return np.kron(np.kron(bell, zeros), bell)
+
+
+def test_palindromic_chain_is_order_insensitive():
+    for k in (2, 3, 4):
+        sig = protocol_signature(k)
+        forward = backward = dense = _initial_state(k)
+        for b1, b2 in swap_chain(k):
+            forward = forward[swap_bits(sig, b1, b2)]
+            dense = dense_swap(sig, b1, b2) @ dense
+        for b1, b2 in reversed(swap_chain(k)):
+            backward = backward[swap_bits(sig, b1, b2)]
+        assert np.array_equal(forward, backward)
+        assert np.array_equal(forward, dense)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_kernel_matches_dense_oracle_protocol(k):
+    # the dense path the protocol used to take: permutation matrices, then a
+    # dyad and partial traces at every checkpoint
+    sig = protocol_signature(k)
+    dims = [2] * sig.slots
+    mediator_slots = [sig.slot_of(f"B{i}") for i in range(2, k + 2)]
+    matter_slots = [sig.slot_of(s) for s in ("A1", "B1", f"B{k + 2}", "A2")]
+    states = [_initial_state(k)]
+    for b1, b2 in swap_chain(k):
+        states.append(dense_swap(sig, b1, b2) @ states[-1])
+    trace = run_bit_antibit_protocol(k)
+    assert len(trace.steps) == len(states)
+    for step, psi in zip(trace.steps, states):
+        rho = dyad(psi)
+        assert np.array_equal(step.state, psi), step.label
+        assert np.array_equal(step.mediator, partial_trace(rho, dims, mediator_slots)), step.label
+        assert np.array_equal(step.matter, partial_trace(rho, dims, matter_slots)), step.label
 
 
 @pytest.mark.parametrize("k", [3, 4])

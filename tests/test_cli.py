@@ -221,3 +221,15 @@ def test_text_rendering_smoke(capsys, model):
     assert out.startswith("bmvsim")
     assert f"model: {model}" in out
     assert out.strip().endswith("RESULT: PASS")
+
+
+@pytest.mark.parametrize("model, eps", [("anyon", "1e-16"), ("bitantibit", "1e-16"), ("fermion", "1e-20")])
+def test_eps_below_rounding_still_writes_a_report(capsys, tmp_path, model, eps):
+    # purity's density check has a rounding floor, so an eps below float64
+    # rounding gives a report with verdicts at that eps, not an input error
+    target = tmp_path / "report.txt"
+    code, _, err = run_cli(capsys, ["run", model, "--eps", eps, "--out", str(target)])
+    assert "not-density" not in err
+    text = target.read_text()
+    assert text.endswith("RESULT: PASS\n" if code == EXIT_OK else "RESULT: FAIL\n")
+    assert code in (EXIT_OK, EXIT_MISMATCH)

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from bmvsim.statecore import (
     random_hermitian,
     random_state,
     random_unitary,
+    reduce_pure,
     tensor,
 )
 
@@ -99,6 +102,25 @@ def test_partial_trace_errors():
         partial_trace(np.eye(4), [2, 2], [])
     with pytest.raises(ValueError, match="bad-partition"):
         partial_trace(np.eye(4), [2, 2], [5])
+    psi = np.ones(4, dtype=complex) / 2
+    for bad in ((psi, [2, 3], [0]), (np.eye(2), [2, 2], [0]), (psi, [2, 2], []), (psi, [2, 2], [5])):
+        with pytest.raises(ValueError, match="bad-partition"):
+            reduce_pure(*bad)
+
+
+def test_reduce_pure_matches_dense_partial_trace():
+    # the dense dyad-then-trace path is the oracle, for every nonempty keep
+    # set (non-contiguous ones included) given in any order
+    rng = np.random.default_rng(41)
+    for dims in ([2, 3, 2], [2] * 6):
+        for _ in range(3):
+            psi = random_state(int(np.prod(dims)), rng)
+            rho = dyad(psi)
+            for size in range(1, len(dims) + 1):
+                for keep in combinations(range(len(dims)), size):
+                    want = partial_trace(rho, dims, keep)
+                    assert mat_close(reduce_pure(psi, dims, keep), want, 1e-14), (dims, keep)
+                    assert mat_close(reduce_pure(psi, dims, keep[::-1]), want, 1e-14), (dims, keep)
 
 
 def test_in_span_identity():
