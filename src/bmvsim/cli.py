@@ -42,9 +42,10 @@ MODELS = tuple(RUNNERS)
 
 # `run bitantibit --mediator-bits k` costs what its report holds, 2k + 2
 # mediator matrices of 4^k entries.  Peak RSS and wall time per command, json /
-# text, on a 2-vCPU Xeon: k = 6 50 / 41 MiB, 0.28 / 0.12 s; k = 7 103 / 74 MiB,
-# 0.90 / 0.21 s; k = 8 340 / 223 MiB, 3.9 / 0.71 s.  At about 4x per k, k = 9
-# would pass a 1 GiB budget, so a larger k is rejected before it allocates.
+# text, on a 2-vCPU Xeon: k = 6 44 / 33 MiB, 0.37 / 0.33 s; k = 7 83 / 41 MiB,
+# 0.52 / 0.34 s; k = 8 257 / 69 MiB, 1.25 / 0.31 s.  Above the 30 MiB of the
+# interpreter the json peak grows about 4x per k, so k = 9 would take about
+# 1 GiB, the memory budget: a larger k is rejected before it allocates.
 MAX_MEDIATOR_BITS = 8
 
 
@@ -56,10 +57,45 @@ class UsageError(Exception):
 # serialization helpers
 
 
-def _pairs(a) -> list:
-    """A complex vector or matrix as nested lists of [re, im] pairs."""
+def format_array(a, level: int | None = None) -> str:
+    """A complex array as JSON nested lists of [re, im] pairs.
+
+    With ``level`` None the bytes are those of compact ``json.dumps``; with an
+    int they are those of ``json.dumps(..., indent=2)`` for an array that sits
+    ``level`` containers deep.  Each distinct float64 bit pattern is formatted
+    once by json itself (so -0.0, NaN and Infinity match); protocol values are
+    exact rationals or multiples of 1/sqrt(2), so there are only a few.
+    """
     a = np.asarray(a, dtype=complex)
-    return np.stack((a.real, a.imag), axis=-1).tolist()
+    values = np.stack((a.real, a.imag), axis=-1)
+    shape, rank = values.shape, values.ndim
+    flat = values.reshape(-1).view(np.uint64)
+    bits = np.unique(flat)
+    texts = np.array([json.dumps(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    # After element i, `closing[i]` axes end: its pair, then its row, ...
+    closing = np.zeros(values.size, dtype=np.uint8)
+    block = 1
+    for length in reversed(shape):
+        block *= length
+        closing[block - 1 :: block] += 1
+    if level is None:
+        comma, pad = ", ", [""] * (rank + 1)
+    else:
+        comma, pad = ",", ["\n" + "  " * (level + depth) for depth in range(rank + 1)]
+
+    def opens(depth: int) -> str:
+        return "".join("[" + pad[d + 1] for d in range(depth, rank))
+
+    def closes(depth: int) -> str:
+        return "".join(pad[d] + "]" for d in reversed(range(depth, rank)))
+
+    # seps[c] follows an element after which c axes end; only the last ends all
+    seps = [closes(rank - c) + comma + pad[rank - c] + opens(rank - c) for c in range(rank)]
+    seps.append(closes(0))
+    out = np.empty(2 * values.size, dtype=object)
+    out[0::2] = texts[np.searchsorted(bits, flat)]  # cheaper than unique's return_inverse
+    out[1::2] = np.array(seps, dtype=object)[closing]
+    return opens(0) + "".join(out.tolist())
 
 
 def _witness_dict(report: WitnessReport) -> dict:
@@ -80,8 +116,8 @@ def _witness_dict(report: WitnessReport) -> dict:
 
 def _state_dict(state) -> dict:
     if isinstance(state, AnyonState):
-        return {"partition": state.shape.value, "amplitudes": _pairs(state.amps)}
-    return {"amplitudes": _pairs(state)}
+        return {"partition": state.shape.value, "amplitudes": state.amps}
+    return {"amplitudes": state}
 
 
 # ---------------------------------------------------------------------------
@@ -95,17 +131,14 @@ def build_run_report(trace: ProtocolTrace, eps: float, trace_steps: bool) -> dic
         entry: dict = {"label": step.label}
         if trace_steps:
             entry["state"] = _state_dict(step.state)
-            entry["matter"] = _pairs(step.matter)
+            entry["matter"] = step.matter
         steps.append(entry)
     return {
         "meta": {"tool": "bmvsim", "version": __version__, "eps": eps},
         "model": trace.model,
         "steps": steps,
-        "mediator_states": [_pairs(step.mediator) for step in trace.steps],
-        "marginals": {
-            "rho_q1": _pairs(trace.summary["rho_q1"]),
-            "rho_q2": _pairs(trace.summary["rho_q2"]),
-        },
+        "mediator_states": np.stack([step.mediator for step in trace.steps]),
+        "marginals": {"rho_q1": trace.summary["rho_q1"], "rho_q2": trace.summary["rho_q2"]},
         "witness": _witness_dict(trace.report),
         "expected": [
             {"name": c.name, "expected": c.expected, "actual": c.actual, "pass": c.passed}
@@ -153,14 +186,24 @@ def build_verify_report(eps: float) -> dict:
 # rendering
 
 
+def _dump(value, level: int) -> str:
+    """``json.dumps(value, indent=2)`` for a value ``level`` containers deep."""
+    if isinstance(value, np.ndarray):
+        return format_array(value, level)
+    if isinstance(value, dict) and value:
+        items = (f"{json.dumps(key)}: {_dump(sub, level + 1)}" for key, sub in value.items())
+        first, last = "{", "}"
+    elif isinstance(value, (list, tuple)) and value:
+        items = (_dump(sub, level + 1) for sub in value)
+        first, last = "[", "]"
+    else:
+        return json.dumps(value)
+    pad = "\n" + "  " * (level + 1)
+    return first + pad + ("," + pad).join(items) + "\n" + "  " * level + last
+
+
 def render_json(report: dict) -> str:
-    # The encoder's chunks go straight into the buffer.  Joining them, as
-    # json.dumps does, holds all of them at once: about 10 MiB for the 3 MB
-    # report of `run bitantibit --mediator-bits 6`, against 4 MiB here.
-    buf = io.StringIO()
-    buf.writelines(json.JSONEncoder(indent=2).iterencode(report))
-    buf.write("\n")
-    return buf.getvalue()
+    return _dump(report, 0) + "\n"
 
 
 def _csv_rows(report: dict) -> list[tuple[str, str, str]]:
@@ -174,7 +217,8 @@ def _csv_rows(report: dict) -> list[tuple[str, str, str]]:
             for i, sub in enumerate(value):
                 walk(f"{prefix}[{i}]", sub)
         else:
-            rows.append((prefix.split(".")[0], prefix, json.dumps(value)))
+            text = format_array(value) if isinstance(value, np.ndarray) else json.dumps(value)
+            rows.append((prefix.split(".")[0], prefix, text))
 
     walk("", report)
     return rows

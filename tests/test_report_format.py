@@ -1,0 +1,153 @@
+"""The report renderers against the stdlib ``json`` encoder.
+
+``cli.format_array`` writes complex arrays straight from numpy.  The oracle
+is the encoding it replaced: arrays turned into nested lists of [re, im]
+pairs (``pairs``) and the whole report passed through
+``json.JSONEncoder(indent=2)``, or ``json.dumps`` per csv cell.
+"""
+
+import csv
+import io
+import json
+
+import numpy as np
+import pytest
+
+from bmvsim import cli
+from bmvsim.acceptance import RUNNERS
+from bmvsim.statecore import EPS
+
+PLANTED = (-0.0, 0.0, 5e-324, 1e-5, 1e16, 1 / 3, float("nan"), float("inf"), float("-inf"))
+SHAPES = [(1,), (5,), (1, 1), (1, 4), (3, 1), (4, 4), (1, 1, 1), (2, 1, 3), (3, 4, 2)]
+
+
+# ---------------------------------------------------------------------------
+# the oracle
+
+
+def pairs(a) -> list:
+    """A complex array as nested lists of [re, im] pairs."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), axis=-1).tolist()
+
+
+def to_lists(value):
+    """The report with every array replaced by its ``pairs`` lists."""
+    if isinstance(value, np.ndarray):
+        return pairs(value)
+    if isinstance(value, dict):
+        return {key: to_lists(sub) for key, sub in value.items()}
+    if isinstance(value, list):
+        return [to_lists(sub) for sub in value]
+    return value
+
+
+def oracle_json(report: dict) -> str:
+    return json.JSONEncoder(indent=2).encode(to_lists(report)) + "\n"
+
+
+def oracle_csv(report: dict) -> str:
+    rows = []
+
+    def walk(prefix, value):
+        if isinstance(value, dict):
+            for key, sub in value.items():
+                walk(f"{prefix}.{key}" if prefix else str(key), sub)
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            for i, sub in enumerate(value):
+                walk(f"{prefix}[{i}]", sub)
+        else:
+            rows.append((prefix.split(".")[0], prefix, json.dumps(value)))
+
+    walk("", to_lists(report))
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["section", "key", "value"])
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+ORACLES = {"json": oracle_json, "csv": oracle_csv}
+
+
+# ---------------------------------------------------------------------------
+# the formatter
+
+
+def random_array(rng, shape):
+    """Seeded complex values: random floats, repeats, and planted values."""
+    pool = np.concatenate([PLANTED, rng.normal(size=3)])
+    size = int(np.prod(shape))
+    parts = []
+    for _ in range(2):
+        part = rng.normal(size=size) * 10.0 ** rng.integers(-20, 20, size=size)
+        repeat = rng.random(size) < 0.5
+        part[repeat] = rng.choice(pool, size=int(repeat.sum()))
+        part[rng.integers(size)] = rng.choice(PLANTED)  # at least one, whatever the size
+        parts.append(part.reshape(shape))
+    a = np.empty(shape, dtype=complex)
+    a.real, a.imag = parts
+    return a
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_format_array_matches_json(shape):
+    rng = np.random.default_rng(sum(shape) * 100 + len(shape))
+    for _ in range(20):
+        a = random_array(rng, shape)
+        assert cli.format_array(a) == json.dumps(pairs(a))
+        indented = json.dumps(pairs(a), indent=2)
+        for level in range(5):
+            assert cli.format_array(a, level) == indented.replace("\n", "\n" + "  " * level)
+
+
+def test_format_array_planted_values():
+    a = np.empty(len(PLANTED), dtype=complex)
+    a.real, a.imag = PLANTED, PLANTED[::-1]
+    text = cli.format_array(a)
+    assert text == json.dumps(pairs(a))
+    for token in ("-0.0", "5e-324", "1e-05", "1e+16", "0.3333333333333333", "NaN", "Infinity", "-Infinity"):
+        assert token in text
+
+
+# ---------------------------------------------------------------------------
+# reports the golden set does not cover
+
+
+def _variant(model, mediator_bits=None, trace_steps=False):
+    argv = ["run", model]
+    options = {}
+    if mediator_bits is not None:
+        argv += ["--mediator-bits", str(mediator_bits)]
+        options["mediator_bits"] = mediator_bits
+    if trace_steps:
+        argv.append("--trace-steps")
+    return pytest.param(argv, options, trace_steps, id=" ".join(argv[1:]))
+
+
+VARIANTS = [
+    *(_variant("bitantibit", k) for k in (3, 4, 5)),
+    _variant("bitantibit", 6, trace_steps=True),
+    *(_variant(model, trace_steps=True) for model in RUNNERS),
+]
+
+
+@pytest.mark.parametrize("argv, options, trace_steps", VARIANTS)
+def test_report_matches_oracle(argv, options, trace_steps, tmp_path):
+    report = cli.build_run_report(RUNNERS[argv[1]](eps=EPS, **options), EPS, trace_steps)
+    for fmt, oracle in ORACLES.items():
+        out = tmp_path / f"report.{fmt}"
+        assert cli.main([*argv, "--format", fmt, "--out", str(out)]) == cli.EXIT_OK
+        assert out.read_bytes() == oracle(report).encode("ascii")
+
+
+@pytest.mark.parametrize("steps", [[], ["--trace-steps"]], ids=["", "steps"])
+def test_text_report_formats_no_array(monkeypatch, tmp_path, steps):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a text report formatted an array")
+
+    monkeypatch.setattr(cli, "format_array", refuse)
+    out = tmp_path / "report.txt"
+    argv = ["run", "bitantibit", "--mediator-bits", "6", "--format", "text", *steps]
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+    assert out.read_text().endswith("RESULT: PASS\n")
