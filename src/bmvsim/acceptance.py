@@ -121,9 +121,9 @@ class Row(NamedTuple):
 
 def _fermion_rows(trace: ProtocolTrace) -> Iterator[Row]:
     s = trace.summary
-    sequence = zip(trace.steps, s["mediator_sequence"], fermion_expected_mediator_sequence(), strict=True)
+    sequence = zip(trace.steps, fermion_expected_mediator_sequence(), strict=True)
     marginal = np.eye(4) / 4
-    yield from (Row(f"mediator[{step.label}]", med, exp) for step, med, exp in sequence)
+    yield from (Row(f"mediator[{step.label}]", step.mediator, exp) for step, exp in sequence)
     yield Row("rho_q1", s["rho_q1"], marginal)
     yield Row("rho_q2", s["rho_q2"], marginal)
     yield Row("x1_expect", s["x1_expect"], 0.0)
@@ -372,8 +372,9 @@ def _crit_property_suites(eps, ctx):
 
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            s = fer.fermionic_swap(n, i, j)
-            if not (mat_close(s @ s, eye, eps) and mat_close(s, s.conj().T, eps)):
+            # a signed permutation is a Hermitian involution iff these hold
+            perm, signs = fer.fermionic_swap(n, i, j)
+            if not (np.array_equal(perm[perm], np.arange(1 << n)) and np.array_equal(signs[perm], signs)):
                 failures.append(f"swap({i},{j})")
 
     for trial in range(100):

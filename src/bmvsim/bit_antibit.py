@@ -155,16 +155,6 @@ def pair_flip_observable() -> np.ndarray:
     return x
 
 
-def tensor_product_composition(a_embedded: np.ndarray, b_embedded: np.ndarray) -> np.ndarray:
-    """Joint observable of one pair observable per side.
-
-    This theory composes subsystems by the ordinary tensor product, and for
-    embedded operators of the form a (x) 1 and 1 (x) b the matrix product is
-    exactly the tensor composition a (x) b (the tests pin this reduction).
-    """
-    return a_embedded @ b_embedded
-
-
 def run_bit_antibit_protocol(mediator_bits: int = 2, eps: float = EPS) -> ProtocolTrace:
     """Swap-mediated entanglement between the two bit/anti-bit pair qubits.
 
@@ -203,7 +193,6 @@ def run_bit_antibit_protocol(mediator_bits: int = 2, eps: float = EPS) -> Protoc
             LocalObservableSet("Q1", tuple(tensor(h, eye) for h in hermitian_basis(4))),
             LocalObservableSet("Q2", tuple(tensor(eye, h) for h in hermitian_basis(4))),
         ),
-        product=tensor_product_composition,
         eps=eps,
     )
     validities = [validate_state(sig, step.state, eps) for step in trace.steps]

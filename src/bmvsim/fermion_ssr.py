@@ -22,7 +22,12 @@ Discarding a mode uses the fermionic partial trace: a dyad
 up the reordering sign (-1)^(sum_{k>j} s_j s_k + r_j r_k), and drops slot j.
 Tracing several modes is performed highest index first so no re-indexing of
 the remaining trace targets is needed; on parity-even operators the result is
-order independent (covered by the test suite).
+order independent (covered by the test suite).  The sign is a product of a
+ket sign and a bra sign, and ``_trace_signs`` gives that sign for every basis
+index; it is the one place the rule is written.  The protocol uses the
+pure-state form of the trace, ``statecore.reduce_pure`` of the state vector
+times those signs, and forms no dyad.  Its swap gates are signed basis-index
+permutations applied to the state vector.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from itertools import islice, product
 
 import numpy as np
 
-from .statecore import EPS, dagger, dyad, mat_close
+from .statecore import EPS, dagger, mat_close, reduce_pure
 from .witness import LocalObservableSet, ProtocolTrace, run_protocol
 
 # Tolerance for linear-independence decisions while enumerating observables.
@@ -58,17 +63,6 @@ _SWEEP_BLOCK = 64
 
 # ---------------------------------------------------------------------------
 # basis bookkeeping
-
-
-def occupations(index: int, n: int) -> tuple[int, ...]:
-    """Occupation bits (s_1, ..., s_n) of a basis index, mode 1 first."""
-    return tuple((index >> (n - j)) & 1 for j in range(1, n + 1))
-
-
-def basis_index(occ) -> int:
-    occ = tuple(occ)
-    n = len(occ)
-    return sum(s << (n - j) for j, s in enumerate(occ, start=1))
 
 
 def vacuum_state(n: int) -> np.ndarray:
@@ -239,13 +233,21 @@ def parity_matrix(n: int) -> np.ndarray:
     return np.diag(_parity_signs(np.arange(1 << n)).astype(complex))
 
 
-def is_parity_even(m: np.ndarray, n: int, eps: float = EPS) -> bool:
-    p = parity_matrix(n)
-    return mat_close(p @ m @ p, m, eps * max(1.0, float(np.max(np.abs(m)))))
-
-
 # ---------------------------------------------------------------------------
 # fermionic partial trace
+
+
+def _trace_signs(n: int, traced) -> np.ndarray:
+    """Reordering sign of every basis ket when the ``traced`` modes are
+    discarded highest index first: dropping mode j multiplies by
+    (-1)^(s_j * number of occupied modes above j that are still present)."""
+    traced = set(int(j) for j in traced)
+    idx = np.arange(1 << n)
+    signs = np.ones(1 << n)
+    for j in traced:
+        later = sum(1 << (n - k) for k in range(j + 1, n + 1) if k not in traced)
+        signs *= np.where((idx >> (n - j)) & 1, _parity_signs(idx & later), 1.0)
+    return signs
 
 
 def fermionic_partial_trace(m: np.ndarray, n: int, traced_mode: int) -> np.ndarray:
@@ -266,7 +268,7 @@ def fermionic_partial_trace(m: np.ndarray, n: int, traced_mode: int) -> np.ndarr
     low_mask = (1 << low_bits) - 1
     idx = np.arange(dim)
     occ = (idx >> low_bits) & 1
-    signs = np.where(occ == 1, _parity_signs(idx & low_mask), 1.0)
+    signs = _trace_signs(n, (j,))
     dropped = ((idx >> (low_bits + 1)) << low_bits) | (idx & low_mask)
     out = np.zeros((dim // 2, dim // 2), dtype=complex)
     for b in (0, 1):
@@ -290,38 +292,27 @@ def fermionic_partial_trace_modes(m: np.ndarray, n: int, modes) -> np.ndarray:
 # fermionic swap gates
 
 
-def _inversion_sign(seq) -> int:
-    sign = 1
-    seq = list(seq)
-    for i in range(len(seq)):
-        for k in range(i + 1, len(seq)):
-            if seq[i] > seq[k]:
-                sign = -sign
-    return sign
+def fermionic_swap(n: int, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unitary exchanging modes i and j, fixing the vacuum, as a signed basis
+    permutation ``(perm, signs)``: ``signs * state[perm]`` applies it.
 
-
-def fermionic_swap(n: int, i: int, j: int) -> np.ndarray:
-    """Unitary exchanging modes i and j, fixing the vacuum.
-
-    Built on basis states: exchange the occupations s_i <-> s_j and multiply
-    by the reordering sign of the permuted creation word (computed by explicit
-    normal ordering rather than a closed-form sign string).
+    ``perm`` exchanges the occupations s_i and s_j; the sign is that of
+    reordering the permuted creation word: -1 when both modes are occupied,
+    (-1)^(occupied modes strictly between i and j) when exactly one is, and +1
+    when neither is.  The gate is an involution: ``perm[perm]`` is the
+    identity and ``signs[perm] == signs``.
     """
     if i == j:
         raise ValueError("bad-swap: swap modes must differ")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"bad-mode: swap modes outside 1..{n}")
-    dim = 1 << n
-    s = np.zeros((dim, dim), dtype=complex)
-    swap = {i: j, j: i}
-    for idx in range(dim):
-        occ = occupations(idx, n)
-        word = [swap.get(mode, mode) for mode in range(1, n + 1) if occ[mode - 1]]
-        new_occ = [0] * n
-        for mode in word:
-            new_occ[mode - 1] = 1
-        s[basis_index(new_occ), idx] = _inversion_sign(word)
-    return s
+    high, low = n - min(i, j), n - max(i, j)  # bit positions of the two modes
+    idx = np.arange(1 << n)
+    both = (idx >> high) & (idx >> low) & 1
+    differ = ((idx >> high) ^ (idx >> low)) & 1
+    between = ((1 << high) - 1) ^ ((2 << low) - 1)
+    signs = np.where(both, -1.0, np.where(differ, _parity_signs(idx & between), 1.0))
+    return idx ^ (differ << high) ^ (differ << low), signs
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +337,21 @@ def run_fermion_protocol(eps: float = EPS) -> ProtocolTrace:
     n = 5
     c = {j: creator_matrix(n, j) for j in range(1, 6)}
     psi = 0.5 * ((c[1] + c[2]) @ c[3] @ (c[4] + c[5]) @ vacuum_state(n))
+    dims = [2] * n
+    mediator_signs = _trace_signs(n, (1, 2, 4, 5))
+    matter_signs = _trace_signs(n, (3,))
 
     def reduce(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rho = dyad(state)
-        return fermionic_partial_trace_modes(rho, n, (1, 2, 4, 5)), fermionic_partial_trace(rho, n, 3)
+        return reduce_pure(mediator_signs * state, dims, [2]), reduce_pure(matter_signs * state, dims, [0, 1, 3, 4])
 
     def swap(a: int, b: int):
-        return f"swap({a},{b})", lambda state: fermionic_swap(n, a, b) @ state
+        def gate(state: np.ndarray) -> np.ndarray:
+            perm, signs = fermionic_swap(n, a, b)
+            # (-1) * 0.0 is -0.0, which reports print as "-0.0"; adding 0.0
+            # keeps every zero amplitude +0.0
+            return signs * state[perm] + 0.0
+
+        return f"swap({a},{b})", gate
 
     return run_protocol(
         "fermion",

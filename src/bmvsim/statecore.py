@@ -42,11 +42,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 
 
-def frobenius(m: np.ndarray) -> float:
-    """Frobenius norm, the Euclidean norm of the vectorized operator."""
-    return float(np.linalg.norm(np.asarray(m)))
-
-
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 

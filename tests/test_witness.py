@@ -1,20 +1,41 @@
 import numpy as np
 import pytest
 
-from bmvsim.bit_antibit import run_bit_antibit_protocol, tensor_product_composition
+from bmvsim.bit_antibit import run_bit_antibit_protocol
 from bmvsim.fermion_ssr import (
     creator_matrix,
     enumerate_physical_observables,
     hopping_observable,
     vacuum_state,
 )
-from bmvsim.statecore import EPS, dyad, hermitian_basis, mat_close, tensor
+from bmvsim.statecore import EPS, dyad, hermitian_basis, mat_close, random_hermitian, random_state, tensor
 from bmvsim.witness import (
+    CorrelationRow,
     LocalObservableSet,
     purity,
     schmidt_rank,
     uncorrelated_test,
 )
+
+
+def reference_table(rho, set_a, set_b, eps=EPS):
+    """The correlation rows and the maximal-violation row, one trace per pair."""
+
+    def expectation(op):
+        val = complex(np.trace(op @ rho))
+        assert abs(val.imag) <= 1e-8 * max(1.0, abs(val))
+        return float(val.real)
+
+    expect_b = [expectation(b) for b in set_b.matrices]
+    rows, best = [], None
+    for i, a in enumerate(set_a.matrices):
+        ea = expectation(a)
+        for j, (b, eb) in enumerate(zip(set_b.matrices, expect_b)):
+            row = CorrelationRow(i, j, ea, eb, expectation(a @ b))
+            rows.append(row)
+            if best is None or row.violation > best.violation + eps:
+                best = row
+    return rows, best
 
 
 def _fermion_states():
@@ -150,22 +171,55 @@ def test_bit_antibit_product_reduces_to_tensor_composition():
     locals_b = hermitian_basis(4)
     for la in locals_a[:4]:
         for lb in locals_b[:4]:
-            embedded = tensor_product_composition(tensor(la, np.eye(4)), tensor(np.eye(4), lb))
+            embedded = tensor(la, np.eye(4)) @ tensor(np.eye(4), lb)
             assert mat_close(embedded, tensor(la, lb), 1e-12)
 
 
-def test_custom_product_argument_is_honoured():
-    # a product that discards the pair makes every nonzero-mean pair violate
+def _with_near_ties(name, make, rng):
+    """Random observables, then each again scaled so that its violations move
+    by far less than eps: a near-tie for every pair."""
+    mats = [make() for _ in range(int(rng.integers(1, 7)))]
+    return LocalObservableSet(name, tuple(mats + [m * (1 + 1e-13) for m in mats]))
+
+
+@pytest.mark.parametrize("dim_a, dim_b", [(2, 2), (2, 4), (4, 4)])
+def test_batched_table_matches_per_pair_oracle(dim_a, dim_b):
+    rng = np.random.default_rng(300 + dim_a * dim_b)
+    for _ in range(6):
+        rho = dyad(random_state(dim_a * dim_b, rng))
+        set_a = _with_near_ties("A", lambda: tensor(random_hermitian(dim_a, rng), np.eye(dim_b)), rng)
+        set_b = _with_near_ties("B", lambda: tensor(np.eye(dim_a), random_hermitian(dim_b, rng)), rng)
+        rows, best = reference_table(rho, set_a, set_b)
+        report = uncorrelated_test(rho, set_a, set_b)
+        assert report.correlations == rows
+        assert report.max_violation == best.violation
+        assert not report.uncorrelated
+        assert report.violating_pair == (best.index_a, best.index_b)
+        assert (report.lhs, report.rhs) == (best.expect_a * best.expect_b, best.expect_product)
+        # the tie rule keeps the first of each twin pair
+        assert best.index_a < len(set_a) // 2 and best.index_b < len(set_b) // 2
+
+
+def test_empty_observable_set_is_uncorrelated_with_no_rows():
     _, final = _fermion_states()
-    eye = np.eye(16, dtype=complex)
-    report = uncorrelated_test(
-        final,
-        LocalObservableSet("A", (eye,)),
-        LocalObservableSet("B", (eye,)),
-        product=lambda a, b: np.zeros_like(a),
-    )
-    assert not report.uncorrelated
-    assert abs(report.lhs - 1.0) <= EPS and abs(report.rhs) <= EPS
+    a, b = _fermion_sets()
+    empty = LocalObservableSet("none", ())
+    for sets in ((empty, b), (a, empty), (empty, empty)):
+        report = uncorrelated_test(final, *sets)
+        assert report.uncorrelated
+        assert report.correlations == []
+        assert report.violating_pair is None
+        assert report.max_violation == 0.0
+
+
+def test_non_real_product_expectation_raises():
+    # X and Z do not commute: Tr(X Z rho) = -i <Y>, which is -i on the Y
+    # eigenstate; the pair (X, 1) before it is real, so every entry is checked
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    z = np.diag([1.0, -1.0]).astype(complex)
+    y_plus = np.array([1, 1j]) / np.sqrt(2)
+    with pytest.raises(ValueError, match="expectation value is not real"):
+        uncorrelated_test(y_plus, LocalObservableSet("A", (x,)), LocalObservableSet("B", (np.eye(2), z)))
 
 
 def test_bit_antibit_verdict_matches_schmidt_oracle():
