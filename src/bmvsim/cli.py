@@ -186,18 +186,25 @@ def build_verify_report(eps: float) -> dict:
 # rendering
 
 
+def _holds_array(value) -> bool:
+    if isinstance(value, (dict, list, tuple)):
+        return any(map(_holds_array, value.values() if isinstance(value, dict) else value))
+    return isinstance(value, np.ndarray)
+
+
 def _dump(value, level: int) -> str:
     """``json.dumps(value, indent=2)`` for a value ``level`` containers deep."""
     if isinstance(value, np.ndarray):
         return format_array(value, level)
-    if isinstance(value, dict) and value:
+    if not _holds_array(value):
+        # json escapes newlines in strings: each one it writes starts an indented line
+        return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
+    if isinstance(value, dict):
         items = (f"{json.dumps(key)}: {_dump(sub, level + 1)}" for key, sub in value.items())
         first, last = "{", "}"
-    elif isinstance(value, (list, tuple)) and value:
+    else:
         items = (_dump(sub, level + 1) for sub in value)
         first, last = "[", "]"
-    else:
-        return json.dumps(value)
     pad = "\n" + "  " * (level + 1)
     return first + pad + ("," + pad).join(items) + "\n" + "  " * level + last
 

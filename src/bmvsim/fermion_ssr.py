@@ -33,31 +33,26 @@ permutations applied to the state vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 
 import numpy as np
 
-from .statecore import EPS, dagger, mat_close, reduce_pure
+from .statecore import EPS, dagger, reduce_pure
 from .witness import LocalObservableSet, ProtocolTrace, run_protocol
 
 # Tolerance for linear-independence decisions while enumerating observables.
 # A candidate is kept iff its component orthogonal to the earlier kept ones
 # has norm above this.  Candidates are integer-entried matrices, so the
 # residuals split far apart: over every enumeration the package runs (full
-# registers k = 1..5 and the protocol subsets) the smallest kept residual is
-# 0.177 (k = 5) and the largest rejected one 6.3e-16 (1.1e-16 in the blocked
-# sweep below).
+# registers k = 1..5 and the protocol subsets) the offset-split sweep keeps
+# residuals of 0.177 (k = 5) and up, and rejects residuals of 3.9e-17 and
+# below.
 _RANK_TOL = 1e-8
 
-# Tolerance of the Hermiticity test on candidate words.  Word matrices have
-# entries in {0, +1, -1}, so m and m^dag are either equal or differ by at
-# least 1 in some entry; any threshold in (0, 1) decides exactly.
-_HERMITIAN_TOL = 1e-12
-
 # Candidates projected together, with matrix-matrix products, against the
-# kept rows in the independence sweep: about 32 words, as most words give two
-# candidates.  On a 2-vCPU Xeon with OpenBLAS, blocks of 32 to 64 run the
-# k = 5 count equally fast and 128 a third slower.
+# kept rows in the sweep of one offset class.  At k <= 5 no class has more than
+# 64 candidates, so each class is one block; on a 2-vCPU Xeon blocks of 16, 64
+# and 128 run the k = 1..5 counts equally fast, within noise.
 _SWEEP_BLOCK = 64
 
 
@@ -85,6 +80,49 @@ def _parity_signs(values: np.ndarray) -> np.ndarray:
     return signs
 
 
+def _word_actions(n: int, words) -> tuple[np.ndarray, np.ndarray]:
+    """Operator words as ``(offsets, values)``: word w maps |s> to
+    values[w, s] |s ^ offsets[w]>.
+
+    The factors act rightmost first, on all words together, and each flips
+    its mode's bit: a creator needs the mode empty, an annihilator needs it
+    occupied, and both carry the sign (-1)^(occupied modes before theirs).
+    The signs multiply, so the occupations they count are XORed and their
+    parity taken once.  Shorter words are padded on the left with bit 0.
+    """
+    # (bit, its required value, mask of the modes before) per factor, rightmost first
+    slots = np.zeros((max(map(len, words), default=0), 3, len(words), 1), dtype=np.int64)
+    for w, word in enumerate(words):
+        for p, (mode, creation) in enumerate(reversed(word)):
+            if not 1 <= mode <= n:
+                raise ValueError(f"bad-mode: mode {mode} outside 1..{n}")
+            bit = 1 << (n - mode)
+            slots[p, :, w, 0] = bit, 0 if creation else bit, (1 << n) - 2 * bit
+    idx = np.arange(1 << n)
+    offsets = np.zeros((len(words), 1), dtype=np.int64)
+    counted = np.zeros((len(words), 1 << n), dtype=np.int64)
+    alive = np.ones((len(words), 1 << n), dtype=bool)
+    for bit, need, before in slots:
+        current = idx ^ offsets
+        alive &= (current & bit) == need
+        counted ^= current & before
+        offsets ^= bit
+    return offsets[:, 0], np.where(alive, _parity_signs(counted), 0.0)
+
+
+def _scatter(n: int, offsets: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Matrices w with values[w, s] at (s ^ offsets[w], s) and zeros elsewhere."""
+    idx = np.arange(1 << n)
+    m = np.zeros((len(values), 1 << n, 1 << n), dtype=complex)
+    m[np.arange(len(values))[:, None], idx ^ offsets[:, None], idx] = values
+    return m
+
+
+def word_matrix(n: int, word) -> np.ndarray:
+    """Matrix of an operator word, leftmost factor applied last (operator order)."""
+    return _scatter(n, *_word_actions(n, (word,)))[0]
+
+
 def annihilator_matrix(n: int, j: int) -> np.ndarray:
     """Matrix of the annihilator of mode j on n modes.
 
@@ -92,28 +130,11 @@ def annihilator_matrix(n: int, j: int) -> np.ndarray:
     with s_j = 0.  Satisfies c_j^2 = 0 and the canonical anticommutators as
     exact matrix identities.
     """
-    if not 1 <= j <= n:
-        raise ValueError(f"bad-mode: mode {j} outside 1..{n}")
-    dim = 1 << n
-    bit = 1 << (n - j)
-    idx = np.arange(dim)
-    occupied = idx[(idx & bit) != 0]
-    m = np.zeros((dim, dim), dtype=complex)
-    m[occupied ^ bit, occupied] = _parity_signs(occupied >> (n - j + 1))
-    return m
+    return word_matrix(n, ((j, False),))
 
 
 def creator_matrix(n: int, j: int) -> np.ndarray:
     return dagger(annihilator_matrix(n, j))
-
-
-def word_matrix(n: int, word) -> np.ndarray:
-    """Matrix of an operator word, leftmost factor applied last (operator order)."""
-    m = np.eye(1 << n, dtype=complex)
-    for mode, creation in word:
-        factor = creator_matrix(n, mode) if creation else annihilator_matrix(n, mode)
-        m = m @ factor
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -147,49 +168,35 @@ def _even_words(modes: tuple[int, ...]):
         yield tuple((m, True) for m in dag_modes) + tuple((m, False) for m in reversed(ann_modes))
 
 
-def _hermitized(n: int, words):
-    """Candidate observables: each word m if Hermitian, else m + m^dag and i(m - m^dag)."""
-    for word in words:
-        m = word_matrix(n, word)
-        m_dag = dagger(m)
-        if mat_close(m, m_dag, _HERMITIAN_TOL):
-            yield m
-        else:
-            yield m + m_dag
-            yield 1j * (m - m_dag)
-
-
-def _independent_subset(candidates, max_rank: int) -> list[np.ndarray]:
-    """The candidates, in order, that are independent of the earlier kept ones.
+def _independent_subset(rows: np.ndarray) -> list[int]:
+    """Indices of the rows, in order, that are independent of the earlier kept ones.
 
     Blocked classical Gram-Schmidt with one re-orthogonalisation pass: each
-    block of _SWEEP_BLOCK candidates is projected twice against the kept
-    orthonormal rows with matrix-matrix products, then its candidates are
-    accepted one at a time, each projected twice against the rows kept
-    earlier in the same block.  ``max_rank`` bounds the number kept.
+    block of _SWEEP_BLOCK rows is projected twice against the kept
+    orthonormal rows with matrix-matrix products, then its rows are accepted
+    one at a time, each projected twice against the rows kept earlier in the
+    same block.
     """
-    kept: list[np.ndarray] = []
-    ortho = None
+    kept: list[int] = []
+    ortho = np.empty((min(rows.shape), rows.shape[1]), dtype=complex)
     rank = 0
-    candidates = iter(candidates)
-    while block := list(islice(candidates, _SWEEP_BLOCK)):
-        rows = np.array([m.reshape(-1) for m in block], dtype=complex)
-        if ortho is None:
-            # rows never written are never touched, so cost no memory
-            ortho = np.empty((max_rank, rows.shape[1]), dtype=complex)
+    for start in range(0, len(rows), _SWEEP_BLOCK):
+        block = np.array(rows[start : start + _SWEEP_BLOCK], dtype=complex)
         done = ortho[:rank]
         for _ in range(2):
-            rows -= (rows.conj() @ done.T).conj() @ done
-        start = rank
-        for m, v in zip(block, rows):
-            new = ortho[start:rank]
+            block -= (block @ done.conj().T) @ done
+        first = rank
+        for index, v in enumerate(block, start):
+            new = ortho[first:rank]
             for _ in range(2):
-                v -= (v.conj() @ new.T).conj() @ new
-            norm = np.linalg.norm(v)
+                v -= (new.conj() @ v) @ new
+            norm = np.vdot(v, v).real ** 0.5
             if norm > _RANK_TOL:
                 ortho[rank] = v / norm
                 rank += 1
-                kept.append(m)
+                kept.append(index)
+                if rank == len(ortho):
+                    return kept  # the kept rows span every row; the rest are dependent
     return kept
 
 
@@ -200,9 +207,15 @@ def enumerate_physical_observables(n: int, modes) -> FermionObservableBasis:
     annihilators, Hermitized as m + m^dag and i(m - m^dag).  A deterministic
     sweep keeps, in candidate order, each candidate whose component
     orthogonal to the span of the earlier kept ones has norm above
-    _RANK_TOL.  The sweep is a blocked Gram-Schmidt: candidates are built
-    and projected a block at a time with matrix products, so rejected ones
-    are freed as it goes.  For a full k-mode subset the count is 2^(2k-1).
+    _RANK_TOL.  For a full k-mode subset the count is 2^(2k-1).
+
+    The sweep is split by offset.  A normal-ordered word c^dag_A c_B has all
+    its entries at (s ^ d, s), d the bit mask of the modes in exactly one of
+    A and B, and so do its Hermitized candidates.  Matrices of different
+    offsets are Frobenius-orthogonal, so a candidate's residual against the
+    earlier kept ones is its residual against those of its own offset: the
+    sweep runs once per offset on rows of length 2^n, the values on the
+    offset, with the same decisions, and only kept candidates become matrices.
     """
     modes = tuple(sorted(set(int(m) for m in modes)))
     if not modes:
@@ -211,9 +224,20 @@ def enumerate_physical_observables(n: int, modes) -> FermionObservableBasis:
         raise ValueError(f"bad-mode: subset {modes} outside 1..{n}")
 
     words = list(_even_words(modes))
-    max_rank = min(2 * len(words), 1 << (2 * n))
-    kept = _independent_subset(_hermitized(n, words), max_rank)
-    return FermionObservableBasis(n, modes, tuple(kept))
+    offsets, values = _word_actions(n, words)
+    m = values.astype(complex)
+    # m^dag maps |s ^ d> to conj(m[s]) |s>: on the offset d its values are conj(m[s ^ d])
+    m_dag = np.take_along_axis(m, np.arange(1 << n) ^ offsets[:, None], axis=1).conj()
+    hermitian = offsets == 0  # c^dag_A c_A; other words give m + m^dag and i(m - m^dag)
+    rows = np.stack((np.where(hermitian[:, None], m, m + m_dag), 1j * (m - m_dag)), axis=1)
+    present = np.stack((np.ones_like(hermitian), ~hermitian), axis=1).reshape(-1)
+    rows, offsets = rows.reshape(-1, 1 << n)[present], np.repeat(offsets, 2)[present]
+    kept = []
+    for offset in np.unique(offsets):
+        positions = np.flatnonzero(offsets == offset)
+        kept += positions[_independent_subset(rows[positions])].tolist()
+    kept.sort()
+    return FermionObservableBasis(n, modes, tuple(_scatter(n, offsets[kept], rows[kept])))
 
 
 def count_scaling_check(k_max: int) -> list[tuple[int, int, int, bool]]:

@@ -248,6 +248,30 @@ def test_entangled_verdict_uses_the_callers_eps():
     assert report.entangled
 
 
+def _pair_product_state(rng):
+    """(a1 c1^dag + a2 c2^dag)(b1 c3^dag + b2 c4^dag)|vac>: one particle per
+    mode pair, random complex amplitudes, not normalized."""
+    c = {j: creator_matrix(4, j) for j in range(1, 5)}
+    a, b = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2))
+    return (a[0] * c[1] + a[1] * c[2]) @ (b[0] * c[3] + b[1] * c[4]) @ vacuum_state(4)
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3])
+def test_fermion_witness_agrees_with_schmidt_rank_on_random_states(terms):
+    # one term is a product of the two pair qubits; a random superposition of
+    # two or three such products is entangled
+    rng = np.random.default_rng(400 + terms)
+    set_a, set_b = _fermion_sets()
+    for _ in range(8):
+        state = sum(_pair_product_state(rng) for _ in range(terms))
+        state = state / np.linalg.norm(state)
+        rank = schmidt_rank(state, 4, 4)
+        assert rank == (1 if terms == 1 else 2)
+        report = uncorrelated_test(state, set_a, set_b)
+        assert report.uncorrelated == (rank == 1)
+        assert report.entangled == (rank == 2)
+
+
 def test_schmidt_rank_values():
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     assert schmidt_rank(bell, 2, 2) == 2
