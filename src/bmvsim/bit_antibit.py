@@ -17,7 +17,7 @@ most significant).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import product
 
 import numpy as np
 
@@ -54,11 +54,6 @@ class SystemSignature:
     def is_bit(self, label: str) -> bool:
         return label.startswith("B")
 
-    def slot_values(self, index: int) -> dict[str, int]:
-        """Computational values of every slot for one basis index."""
-        bits = self.slots
-        return {label: (index >> (bits - 1 - pos)) & 1 for pos, label in enumerate(self.ordering)}
-
 
 @dataclass(frozen=True)
 class PairingCertificate:
@@ -73,37 +68,43 @@ class PairingCertificate:
     offsets: tuple[int, ...]
     tail: tuple[tuple[str, int], ...]
 
-    def admits(self, values: dict[str, int]) -> bool:
-        for (anti, bit), q in zip(self.pairing, self.offsets):
-            if values[bit] != values[anti] ^ q:
-                return False
-        return all(values[bit] == v for bit, v in self.tail)
-
 
 def validate_state(sig: SystemSignature, vec: np.ndarray, eps: float = EPS) -> tuple[bool, PairingCertificate | None]:
     """Search for a pairing certificate whose pattern contains the support.
 
     Support containment (not equality) defines validity, so sub-normalized
-    basis states validate.  The search is exhaustive over injective matchings
-    (trivial for m <= 3) and deterministic: the first certificate in
+    basis states validate.  A certificate holds exactly when each matched
+    anti-bit xor its bit, and each unmatched bit, is constant over the
+    support; the offsets and the tail are then the values at the first
+    support index.  The search is deterministic: the first certificate in
     lexicographic matching order wins.
     """
     vec = np.asarray(vec, dtype=complex).reshape(-1)
     if vec.shape != (sig.dim,):
         raise ValueError("bad-partition: vector length does not match the signature")
-    support = [sig.slot_values(int(i)) for i in np.nonzero(np.abs(vec) > eps)[0]]
-    if not support:
+    support = np.flatnonzero(np.abs(vec) > eps)
+    if support.size == 0:
         return False, None
     anti_labels = [f"A{i}" for i in range(1, sig.m + 1)]
     bit_labels = [f"B{i}" for i in range(1, sig.n + 1)]
-    first = support[0]
-    for matched in permutations(bit_labels, sig.m):
-        offsets = tuple(int(first[bit] ^ first[anti]) for anti, bit in zip(anti_labels, matched))
-        tail = tuple((bit, int(first[bit])) for bit in bit_labels if bit not in matched)
-        cert = PairingCertificate(tuple(zip(anti_labels, matched)), offsets, tail)
-        if all(cert.admits(values) for values in support):
-            return True, cert
-    return False, None
+    shifts = np.array([sig.slots - 1 - sig.slot_of(label) for label in anti_labels + bit_labels], dtype=np.int64)
+    columns = (support[:, None] >> shifts) & 1
+    first = columns[0].tolist()
+    varies = columns != columns[0]  # where each slot differs from the first support index
+    anti_varies, bit_varies = varies[:, : sig.m], varies[:, sig.m :]
+    # anti-bit a may pair with bit b when a xor b is constant over the support
+    pairable = ~(anti_varies[:, :, None] ^ bit_varies[:, None, :]).any(axis=0)
+    constant = (~bit_varies.any(axis=0)).tolist()
+    # ascending candidate lists: product walks the matchings in lexicographic order
+    for matched in product(*(np.flatnonzero(row).tolist() for row in pairable)):
+        if len(set(matched)) == sig.m and all(constant[b] for b in range(sig.n) if b not in matched):
+            break
+    else:
+        return False, None
+    offsets = tuple(first[a] ^ first[sig.m + b] for a, b in enumerate(matched))
+    tail = tuple((bit_labels[b], first[sig.m + b]) for b in range(sig.n) if b not in matched)
+    pairing = tuple((anti_labels[a], bit_labels[b]) for a, b in enumerate(matched))
+    return True, PairingCertificate(pairing, offsets, tail)
 
 
 def swap_bits(sig: SystemSignature, b1: str, b2: str) -> np.ndarray:

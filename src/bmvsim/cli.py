@@ -12,8 +12,6 @@ row-major nested arrays.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -42,11 +40,12 @@ MODELS = tuple(RUNNERS)
 
 # `run bitantibit --mediator-bits k` costs what its report holds, 2k + 2
 # mediator matrices of 4^k entries.  Peak RSS and wall time per command, json /
-# text, on a 2-vCPU Xeon: k = 6 44 / 33 MiB, 0.37 / 0.33 s; k = 7 83 / 41 MiB,
-# 0.52 / 0.34 s; k = 8 257 / 69 MiB, 1.25 / 0.31 s.  Above the 30 MiB of the
-# interpreter the json peak grows about 4x per k, so k = 9 would take about
-# 1 GiB, the memory budget: a larger k is rejected before it allocates.
-MAX_MEDIATOR_BITS = 8
+# text, fresh process, median of 5, on a 2-vCPU Xeon: k = 7 66 / 41 MiB,
+# 0.17 / 0.15 s; k = 8 182 / 69 MiB, 0.27 / 0.16 s; k = 9 696 / 195 MiB,
+# 0.65 / 0.21 s.  Above the 30 MiB of the interpreter the json peak grows
+# about 4x per k, so k = 10 would take about 2.7 GiB, over the 1 GiB memory
+# budget: a larger k is rejected before it allocates.
+MAX_MEDIATOR_BITS = 9
 
 
 class UsageError(Exception):
@@ -57,31 +56,16 @@ class UsageError(Exception):
 # serialization helpers
 
 
-def format_array(a, level: int | None = None) -> str:
-    """A complex array as JSON nested lists of [re, im] pairs.
-
-    With ``level`` None the bytes are those of compact ``json.dumps``; with an
-    int they are those of ``json.dumps(..., indent=2)`` for an array that sits
-    ``level`` containers deep.  Each distinct float64 bit pattern is formatted
-    once by json itself (so -0.0, NaN and Infinity match); protocol values are
-    exact rationals or multiples of 1/sqrt(2), so there are only a few.
-    """
-    a = np.asarray(a, dtype=complex)
-    values = np.stack((a.real, a.imag), axis=-1)
-    shape, rank = values.shape, values.ndim
-    flat = values.reshape(-1).view(np.uint64)
-    bits = np.unique(flat)
-    texts = np.array([json.dumps(x) for x in bits.view(np.float64).tolist()], dtype=object)
-    # After element i, `closing[i]` axes end: its pair, then its row, ...
-    closing = np.zeros(values.size, dtype=np.uint8)
-    block = 1
+def _separators(shape: tuple[int, ...], pad: list[str], comma: str) -> tuple[str, list[str]]:
+    """JSON nested lists for a row-major array of ``shape``: the text before
+    its first element and the text after each element.  ``pad[d]`` starts a
+    line d containers deep ("" when compact)."""
+    rank = len(shape)
+    # After element i, `closing[i]` axes end: its innermost list, then the next ...
+    closing = [0]
     for length in reversed(shape):
-        block *= length
-        closing[block - 1 :: block] += 1
-    if level is None:
-        comma, pad = ", ", [""] * (rank + 1)
-    else:
-        comma, pad = ",", ["\n" + "  " * (level + depth) for depth in range(rank + 1)]
+        closing *= length
+        closing[-1] += 1
 
     def opens(depth: int) -> str:
         return "".join("[" + pad[d + 1] for d in range(depth, rank))
@@ -92,10 +76,55 @@ def format_array(a, level: int | None = None) -> str:
     # seps[c] follows an element after which c axes end; only the last ends all
     seps = [closes(rank - c) + comma + pad[rank - c] + opens(rank - c) for c in range(rank)]
     seps.append(closes(0))
-    out = np.empty(2 * values.size, dtype=object)
-    out[0::2] = texts[np.searchsorted(bits, flat)]  # cheaper than unique's return_inverse
-    out[1::2] = np.array(seps, dtype=object)[closing]
-    return opens(0) + "".join(out.tolist())
+    return opens(0), [seps[c] for c in closing]
+
+
+def _interleave(head: str, items: list[str], seps: list[str]) -> list[str]:
+    parts = [head] * (2 * len(items) + 1)
+    parts[1::2] = items
+    parts[2::2] = seps
+    return parts
+
+
+def format_array(a, level: int | None = None) -> str:
+    """A complex array of rank >= 1 as JSON nested lists of [re, im] pairs.
+
+    With ``level`` None the bytes are those of compact ``json.dumps``; with an
+    int they are those of ``json.dumps(..., indent=2)`` for an array that sits
+    ``level`` containers deep.  The leaf is one row of the last axis: each
+    distinct row, keyed by its float64 bit patterns (so -0.0 and 0.0, and NaN
+    payloads, stay apart), is formatted once, its floats written by json
+    itself, and the rows are joined with the separators of the outer axes.
+    Protocol matrices are sparse with exact rational or 1/sqrt(2) entries, so
+    most rows repeat.
+    """
+    return "".join(_array_parts(a, level))
+
+
+def _array_parts(a, level: int | None = None) -> list[str]:
+    """The text of ``format_array`` as a list of pieces, for a caller that
+    joins it into a larger text."""
+    a = np.asarray(a, dtype=complex)
+    rank = a.ndim - 1  # axes outside a row
+    values = np.stack((a.real, a.imag), axis=-1)
+    rows = values.reshape((-1,) + values.shape[rank:])
+    if level is None:
+        comma, pad = ", ", [""] * (rank + 3)
+    else:
+        comma, pad = ",", ["\n" + "  " * (level + depth) for depth in range(rank + 3)]
+    row_head, row_seps = _separators(rows.shape[1:], pad[rank:], comma)
+    texts: dict[bytes, str] = {}
+    leaves = []
+    for row in rows:
+        key = row.tobytes()
+        text = texts.get(key)
+        if text is None:
+            # json writes no ", " inside a float
+            floats = json.dumps(row.reshape(-1).tolist())[1:-1].split(", ")
+            text = texts[key] = "".join(_interleave(row_head, floats, row_seps))
+        leaves.append(text)
+    head, seps = _separators(a.shape[:rank], pad, comma)
+    return _interleave(head, leaves, seps)
 
 
 def _witness_dict(report: WitnessReport) -> dict:
@@ -192,25 +221,31 @@ def _holds_array(value) -> bool:
     return isinstance(value, np.ndarray)
 
 
-def _dump(value, level: int) -> str:
-    """``json.dumps(value, indent=2)`` for a value ``level`` containers deep."""
+def _dump(value, level: int, out: list[str]) -> None:
+    """Append the parts of ``json.dumps(value, indent=2)`` for a value
+    ``level`` containers deep to ``out``, so the text of a large array is
+    built once, by the final join, and not once per enclosing container."""
     if isinstance(value, np.ndarray):
-        return format_array(value, level)
-    if not _holds_array(value):
+        out.extend(_array_parts(value, level))
+    elif not _holds_array(value):
         # json escapes newlines in strings: each one it writes starts an indented line
-        return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
-    if isinstance(value, dict):
-        items = (f"{json.dumps(key)}: {_dump(sub, level + 1)}" for key, sub in value.items())
-        first, last = "{", "}"
+        out.append(json.dumps(value, indent=2).replace("\n", "\n" + "  " * level))
     else:
-        items = (_dump(sub, level + 1) for sub in value)
-        first, last = "[", "]"
-    pad = "\n" + "  " * (level + 1)
-    return first + pad + ("," + pad).join(items) + "\n" + "  " * level + last
+        is_dict = isinstance(value, dict)
+        pad = "\n" + "  " * (level + 1)
+        sep = "{" if is_dict else "["
+        for key, sub in value.items() if is_dict else enumerate(value):
+            out.append(sep + pad + (json.dumps(key) + ": " if is_dict else ""))
+            _dump(sub, level + 1, out)
+            sep = ","
+        out.append("\n" + "  " * level + ("}" if is_dict else "]"))
 
 
 def render_json(report: dict) -> str:
-    return _dump(report, 0) + "\n"
+    out: list[str] = []
+    _dump(report, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _csv_rows(report: dict) -> list[tuple[str, str, str]]:
@@ -231,12 +266,16 @@ def _csv_rows(report: dict) -> list[tuple[str, str, str]]:
     return rows
 
 
+def _csv_line(cells) -> str:
+    """One record under the excel dialect's minimal quoting: a cell that holds
+    a comma, a quote or a line break is quoted, with its quotes doubled."""
+    return ",".join(
+        '"' + cell.replace('"', '""') + '"' if any(ch in cell for ch in ',"\r\n') else cell for cell in cells
+    ) + "\r\n"
+
+
 def render_csv(report: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["section", "key", "value"])
-    writer.writerows(_csv_rows(report))
-    return buf.getvalue()
+    return "".join(map(_csv_line, [("section", "key", "value"), *_csv_rows(report)]))
 
 
 def render_text(report: dict) -> str:

@@ -18,6 +18,42 @@ from bmvsim.statecore import EPS, dyad, mat_close, partial_trace
 RNG = np.random.default_rng(101)
 
 
+# ---------------------------------------------------------------------------
+# the certificate oracle: the dict-per-index, matching-by-matching search that
+# validate_state replaced
+
+
+def slot_values(sig: SystemSignature, index: int) -> dict[str, int]:
+    """Computational values of every slot for one basis index."""
+    bits = sig.slots
+    return {label: (index >> (bits - 1 - pos)) & 1 for pos, label in enumerate(sig.ordering)}
+
+
+def admits(cert: PairingCertificate, values: dict[str, int]) -> bool:
+    for (anti, bit), q in zip(cert.pairing, cert.offsets):
+        if values[bit] != values[anti] ^ q:
+            return False
+    return all(values[bit] == v for bit, v in cert.tail)
+
+
+def reference_validate(sig: SystemSignature, vec: np.ndarray, eps: float = EPS):
+    """Try every injective matching in lexicographic order, checking each
+    certificate built from the first support index against every index."""
+    support = [slot_values(sig, int(i)) for i in np.nonzero(np.abs(vec) > eps)[0]]
+    if not support:
+        return False, None
+    anti_labels = [f"A{i}" for i in range(1, sig.m + 1)]
+    bit_labels = [f"B{i}" for i in range(1, sig.n + 1)]
+    first = support[0]
+    for matched in permutations(bit_labels, sig.m):
+        offsets = tuple(int(first[bit] ^ first[anti]) for anti, bit in zip(anti_labels, matched))
+        tail = tuple((bit, int(first[bit])) for bit in bit_labels if bit not in matched)
+        cert = PairingCertificate(tuple(zip(anti_labels, matched)), offsets, tail)
+        if all(admits(cert, values) for values in support):
+            return True, cert
+    return False, None
+
+
 def dense_swap(sig: SystemSignature, b1: str, b2: str) -> np.ndarray:
     """Test oracle: the swap as a dense permutation matrix, one basis index at a time."""
     bits = sig.slots
@@ -116,9 +152,60 @@ def test_validate_non_adjacent_pairing():
 
 def test_certificate_admits():
     cert = PairingCertificate((("A1", "B2"),), (1,), (("B1", 0),))
-    assert cert.admits({"A1": 0, "B1": 0, "B2": 1})
-    assert not cert.admits({"A1": 0, "B1": 1, "B2": 1})
-    assert not cert.admits({"A1": 0, "B1": 0, "B2": 0})
+    assert admits(cert, {"A1": 0, "B1": 0, "B2": 1})
+    assert not admits(cert, {"A1": 0, "B1": 1, "B2": 1})
+    assert not admits(cert, {"A1": 0, "B1": 0, "B2": 0})
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_validate_matches_oracle_at_every_checkpoint(k):
+    sig = protocol_signature(k)
+    trace = run_bit_antibit_protocol(k)
+    for step, flag, cert in zip(trace.steps, trace.summary["validities"], trace.summary["certificates"]):
+        assert (flag, cert) == reference_validate(sig, step.state), step.label
+        assert flag and cert is not None
+
+
+def _random_signature(rng) -> SystemSignature:
+    m = int(rng.integers(0, 4))
+    n = int(rng.integers(max(m, 1), 6))
+    labels = [f"A{i}" for i in range(1, m + 1)] + [f"B{i}" for i in range(1, n + 1)]
+    return SystemSignature(m, n, tuple(rng.permutation(labels).tolist()))
+
+
+def _random_supports(sig: SystemSignature, rng):
+    """Vectors whose supports are empty, valid (any matching, so often
+    non-adjacent), valid with entries dropped, valid plus one stray index,
+    random, and valid with amplitudes below, at and above eps (an amplitude
+    of exactly eps is not support)."""
+    yield np.zeros(sig.dim, dtype=complex)
+    valid = _random_valid_state(sig, rng)
+    yield valid
+    dropped = valid.copy()
+    dropped[rng.random(sig.dim) < 0.5] = 0.0
+    yield dropped
+    stray = valid.copy()
+    stray[rng.integers(sig.dim)] += 0.5
+    yield stray
+    noise = rng.standard_normal(sig.dim) * (rng.random(sig.dim) < rng.random())
+    yield noise.astype(complex)
+    faint = valid.copy()
+    faint[rng.integers(sig.dim)] += EPS / 2
+    faint[faint == 0.0] = rng.choice([0.0, EPS / 2, EPS, 2 * EPS], size=int(np.sum(faint == 0.0)))
+    yield faint
+
+
+def test_validate_matches_oracle_on_random_signatures():
+    rng = np.random.default_rng(808)
+    outcomes = set()
+    for trial in range(300):
+        sig = _random_signature(rng)
+        for vec in _random_supports(sig, rng):
+            flag, cert = validate_state(sig, vec)
+            assert (flag, cert) == reference_validate(sig, vec), (trial, sig, np.flatnonzero(np.abs(vec) > EPS))
+            outcomes.add((sig.m, flag))
+    # every anti-bit count produced both verdicts
+    assert outcomes == {(m, flag) for m in range(4) for flag in (False, True)}
 
 
 def test_swap_is_permutation_and_involution():
@@ -144,8 +231,8 @@ def test_swap_action_on_slots():
             basis[idx] = 1.0
             swapped = basis[perm]
             assert np.array_equal(swapped, dense @ basis)
-            values = sig.slot_values(int(np.flatnonzero(swapped)[0]))
-            before = sig.slot_values(idx)
+            values = slot_values(sig, int(np.flatnonzero(swapped)[0]))
+            before = slot_values(sig, idx)
             before[b1], before[b2] = before[b2], before[b1]
             assert values == before
 

@@ -9,6 +9,7 @@ from bmvsim.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_MEDIATOR_BITS,
     build_run_report,
     build_tomography_report,
     build_verify_report,
@@ -88,6 +89,8 @@ def test_mediator_bits_usage_errors(capsys):
     # 2^64 mediator states: rejected by the memory cap before anything is built
     code, _, err = run_cli(capsys, ["run", "bitantibit", "--mediator-bits", "64"])
     assert code == EXIT_USAGE and "at most" in err
+    code, _, err = run_cli(capsys, ["run", "bitantibit", "--mediator-bits", str(MAX_MEDIATOR_BITS + 1)])
+    assert code == EXIT_USAGE and f"at most {MAX_MEDIATOR_BITS}" in err
 
 
 def test_unknown_model_exits_2(capsys):

@@ -1,3 +1,5 @@
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,36 @@ def test_multimode_trace_order_independent_on_even_operators():
         hi_first = fermionic_partial_trace_modes(even, n, (2, 4))
         lo_first = fermionic_partial_trace(fermionic_partial_trace(even, n, 2), n - 1, 3)
         assert mat_close(hi_first, lo_first, 1e-9)
+
+
+def _trace_in_order(m: np.ndarray, n: int, order) -> np.ndarray:
+    """Discard the modes of ``order`` one at a time, in that order; a mode's
+    index is its place among the modes still present."""
+    remaining = list(range(1, n + 1))
+    for j in order:
+        m = fermionic_partial_trace(m, len(remaining), remaining.index(j) + 1)
+        remaining.remove(j)
+    return m
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_trace_is_order_independent_on_random_even_operators(n):
+    # every traced set and every order of discarding it gives the fixed-order
+    # result, on random parity-even operators and on dyads of random even states
+    rng = np.random.default_rng(600 + n)
+    dim = 1 << n
+    p = parity_matrix(n)
+    even_kets = np.flatnonzero(np.diag(p).real > 0)
+    for _ in range(4):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        psi = np.zeros(dim, dtype=complex)
+        psi[even_kets] = rng.standard_normal(even_kets.size) + 1j * rng.standard_normal(even_kets.size)
+        for op in ((g + p @ g @ p) / 2, dyad(psi / np.linalg.norm(psi))):
+            for size in range(1, n + 1):
+                for traced in combinations(range(1, n + 1), size):
+                    fixed = fermionic_partial_trace_modes(op, n, traced)
+                    for order in permutations(traced):
+                        assert mat_close(_trace_in_order(op, n, order), fixed, 1e-12), (traced, order)
 
 
 def test_trace_all_modes_equals_full_trace():

@@ -1,9 +1,10 @@
-"""The report renderers against the stdlib ``json`` encoder.
+"""The report renderers against the stdlib ``json`` encoder and ``csv`` writer.
 
-``cli.format_array`` writes complex arrays straight from numpy.  The oracle
-is the encoding it replaced: arrays turned into nested lists of [re, im]
-pairs (``pairs``) and the whole report passed through
-``json.JSONEncoder(indent=2)``, or ``json.dumps`` per csv cell.
+``cli.format_array`` writes complex arrays straight from numpy, and
+``cli.render_csv`` quotes its cells itself.  The oracle is the encoding they
+replaced: arrays turned into nested lists of [re, im] pairs (``pairs``) and
+the whole report passed through ``json.JSONEncoder(indent=2)``, or
+``json.dumps`` per csv cell and the rows through ``csv.writer``.
 """
 
 import csv
@@ -60,6 +61,10 @@ def oracle_csv(report: dict) -> str:
             rows.append((prefix.split(".")[0], prefix, json.dumps(value)))
 
     walk("", to_lists(report))
+    return stdlib_csv(rows)
+
+
+def stdlib_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["section", "key", "value"])
@@ -110,6 +115,79 @@ def test_format_array_planted_values():
         assert token in text
 
 
+def assert_matches_json(a):
+    assert cli.format_array(a) == json.dumps(pairs(a))
+    indented = json.dumps(pairs(a), indent=2)
+    for level in range(5):
+        assert cli.format_array(a, level) == indented.replace("\n", "\n" + "  " * level)
+
+
+NAN, INF = float("nan"), float("inf")
+# a NaN with a payload: the same text as NaN, a different bit pattern
+NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+
+
+def _rows(*rows) -> np.ndarray:
+    return np.array(rows, dtype=complex)
+
+
+ROW_CASES = {
+    "all-equal rows": np.full((5, 3), 0.5 - 0.25j),
+    "all-equal rows, 3-d": np.full((3, 4, 2), 1 / np.sqrt(2)),
+    "zero then negative zero": _rows([0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [complex(0.0, -0.0), 1.0]),
+    "negative zero then zero": _rows([-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]),
+    "nan then inf": _rows([NAN, 0.0], [INF, 0.0], [NAN, 0.0], [-INF, 0.0], [complex(0.0, NAN), 0.0]),
+    "inf then nan payloads": _rows([INF, 1.0], [NAN_PAYLOAD, 1.0], [NAN, 1.0], [INF, 1.0]),
+    "length-1 last axis": _rows([0.5], [-0.0], [0.5], [NAN], [0.0]),
+    "length-1 last axis, 3-d": np.array([[[0.5], [0.5]], [[-0.0], [0.5]], [[0.5], [0.5]]], dtype=complex),
+    "vector": np.array([0.5, 0.0, -0.0, 0.5, NAN, INF, 0.0], dtype=complex),
+    "length-1 vector": np.array([complex(-0.0, 0.0)]),
+}
+
+
+@pytest.mark.parametrize("a", ROW_CASES.values(), ids=ROW_CASES.keys())
+def test_format_array_row_dedup(a):
+    # rows equal under == but not bit for bit (-0.0 and 0.0) must stay apart
+    assert_matches_json(a)
+
+
+# ---------------------------------------------------------------------------
+# the csv renderer
+
+
+def _reports():
+    for model in RUNNERS:
+        for steps in (False, True):
+            yield f"run {model} steps={steps}", cli.build_run_report(RUNNERS[model](eps=EPS), EPS, steps)
+    for k in (3, 4, 5, 6):
+        trace = RUNNERS["bitantibit"](eps=EPS, mediator_bits=k)
+        yield f"run bitantibit k={k}", cli.build_run_report(trace, EPS, False)
+    for k_max in range(1, 6):
+        yield f"tomography k_max={k_max}", cli.build_tomography_report(k_max, EPS)
+    yield "verify-all", cli.build_verify_report(EPS)
+
+
+def test_csv_matches_stdlib_writer_on_every_report():
+    for name, report in _reports():
+        assert cli.render_csv(report) == stdlib_csv(cli._csv_rows(report)), name
+
+
+# cells the excel dialect quotes, and some it does not; every row has three
+# cells, so csv.writer's quoted lone empty field never arises
+PLANTED_CELLS = (",", '"', "\r", "\n", '""', "", "\r\n", "a,b", 'say "hi"', " lead", "plain", "[1, 2]")
+
+
+def test_csv_planted_cells_match_stdlib_writer():
+    # keys reach the section and key cells raw; values reach the value cell
+    # through json.dumps, which adds quotes and escapes line breaks
+    report = {cell: cell for cell in PLANTED_CELLS}
+    report["nested,"] = {f"{a}{b}": [a, b] for a in PLANTED_CELLS for b in PLANTED_CELLS}
+    report["list"] = [{cell: i} for i, cell in enumerate(PLANTED_CELLS)]
+    assert cli.render_csv(report) == oracle_csv(report)
+    rows = [(a, b, c) for a in PLANTED_CELLS for b in PLANTED_CELLS for c in PLANTED_CELLS[::-1]]
+    assert cli.render_csv({}) + "".join(map(cli._csv_line, rows)) == stdlib_csv(rows)
+
+
 # ---------------------------------------------------------------------------
 # reports the golden set does not cover
 
@@ -147,6 +225,7 @@ def test_text_report_formats_no_array(monkeypatch, tmp_path, steps):
         raise AssertionError("a text report formatted an array")
 
     monkeypatch.setattr(cli, "format_array", refuse)
+    monkeypatch.setattr(cli, "_array_parts", refuse)
     out = tmp_path / "report.txt"
     argv = ["run", "bitantibit", "--mediator-bits", "6", "--format", "text", *steps]
     assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK

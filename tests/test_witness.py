@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from bmvsim.bit_antibit import run_bit_antibit_protocol
+from bmvsim.bit_antibit import SystemSignature, run_bit_antibit_protocol, validate_state
 from bmvsim.fermion_ssr import (
     creator_matrix,
     enumerate_physical_observables,
     hopping_observable,
     vacuum_state,
+)
+from bmvsim.ising_anyon import (
+    SECTOR_DIM,
+    AnyonState,
+    Partition,
+    matter_observable_set,
+    sector_index,
+    trace_mediator,
 )
 from bmvsim.statecore import EPS, dyad, hermitian_basis, mat_close, random_hermitian, random_state, tensor
 from bmvsim.witness import (
@@ -268,6 +276,65 @@ def test_fermion_witness_agrees_with_schmidt_rank_on_random_states(terms):
         rank = schmidt_rank(state, 4, 4)
         assert rank == (1 if terms == 1 else 2)
         report = uncorrelated_test(state, set_a, set_b)
+        assert report.uncorrelated == (rank == 1)
+        assert report.entangled == (rank == 2)
+
+
+def _random_ket(rng, dim: int) -> np.ndarray:
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+
+def _pair_qubit(rng, q: int) -> np.ndarray:
+    """A random allowed state of one bit/anti-bit pair with parity q: a
+    superposition of |0 q> and |1 (1 - q)>, not normalized."""
+    ket = np.zeros(4, dtype=complex)
+    ket[[q, 3 - q]] = _random_ket(rng, 2)
+    return ket
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3])
+def test_bit_antibit_witness_agrees_with_schmidt_rank_on_random_states(terms):
+    # the matter slots (A1, B1, B_{k+2}, A2) of the protocol, with its Q1/Q2
+    # sets: one term is a product of the two pairs, and a random superposition
+    # of two or three products (each pair keeping its parity) is entangled
+    rng = np.random.default_rng(500 + terms)
+    sig = SystemSignature(2, 2, ("A1", "B1", "B2", "A2"))
+    eye = np.eye(4)
+    set_a = LocalObservableSet("Q1", tuple(tensor(h, eye) for h in hermitian_basis(4)))
+    set_b = LocalObservableSet("Q2", tuple(tensor(eye, h) for h in hermitian_basis(4)))
+    for _ in range(8):
+        q1, q2 = rng.integers(0, 2, size=2)
+        state = sum(np.kron(_pair_qubit(rng, q1), _pair_qubit(rng, q2)) for _ in range(terms))
+        state = state / np.linalg.norm(state)
+        assert validate_state(sig, state)[0]
+        rank = schmidt_rank(state, 4, 4)
+        assert rank == (1 if terms == 1 else 2)
+        report = uncorrelated_test(state, set_a, set_b)
+        assert report.uncorrelated == (rank == 1)
+        assert report.entangled == (rank == 2)
+
+
+@pytest.mark.parametrize("entangled", [False, True], ids=["product", "entangled"])
+def test_anyon_witness_agrees_with_schmidt_rank_on_random_states(entangled):
+    # a sector state with one coupling label t has a pure matter reduction:
+    # the (x1, x2) qubit pair psi, tensored with |t>
+    rng = np.random.default_rng(520 + entangled)
+    set_a, set_b = matter_observable_set(1), matter_observable_set(2)
+    for _ in range(8):
+        if entangled:
+            psi = _random_ket(rng, 4)
+        else:
+            psi = np.kron(_random_ket(rng, 2), _random_ket(rng, 2))
+        psi = psi / np.linalg.norm(psi)
+        t = int(rng.choice([0, 2]))
+        amps = np.zeros(SECTOR_DIM, dtype=complex)
+        for x1 in (0, 1):
+            for x2 in (0, 1):
+                amps[sector_index(x1, x2, t)] = psi[2 * x1 + x2]
+        rho = trace_mediator(AnyonState(Partition.CENTER, amps))
+        rank = schmidt_rank(psi, 2, 2)
+        assert rank == (2 if entangled else 1)
+        report = uncorrelated_test(rho, set_a, set_b)
         assert report.uncorrelated == (rank == 1)
         assert report.entangled == (rank == 2)
 
