@@ -17,6 +17,7 @@ most significant).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -156,6 +157,20 @@ def pair_flip_observable() -> np.ndarray:
     return x
 
 
+@cache
+def pair_observable_sets() -> tuple[LocalObservableSet, LocalObservableSet]:
+    """Q1 and Q2 on the matter slots (A1, B1 | B_{k+2}, A2), the same for every
+    k: the Hermitian basis h of one pair as h (x) 1 and 1 (x) h, built for the
+    whole basis by one broadcast product with the entries of ``tensor``.  The
+    stacks are read-only, so every run shares them."""
+    basis = np.array(hermitian_basis(4))
+    eye = np.eye(4)
+    return (
+        LocalObservableSet("Q1", (basis[:, :, None, :, None] * eye[:, None, :]).reshape(16, 16, 16)),
+        LocalObservableSet("Q2", (eye[:, None, :, None] * basis[:, None, :, None, :]).reshape(16, 16, 16)),
+    )
+
+
 def run_bit_antibit_protocol(mediator_bits: int = 2, eps: float = EPS) -> ProtocolTrace:
     """Swap-mediated entanglement between the two bit/anti-bit pair qubits.
 
@@ -190,10 +205,7 @@ def run_bit_antibit_protocol(mediator_bits: int = 2, eps: float = EPS) -> Protoc
         reduce,
         lambda matter: (partial_trace(matter, [4, 4], [0]), partial_trace(matter, [4, 4], [1])),
         (x_pair, tensor(x_pair, eye), tensor(eye, x_pair)),
-        (
-            LocalObservableSet("Q1", tuple(tensor(h, eye) for h in hermitian_basis(4))),
-            LocalObservableSet("Q2", tuple(tensor(eye, h) for h in hermitian_basis(4))),
-        ),
+        pair_observable_sets(),
         eps=eps,
     )
     validities = [validate_state(sig, step.state, eps) for step in trace.steps]

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .acceptance import (
 from .fermion_ssr import count_scaling_check
 from .ising_anyon import AnyonState
 from .statecore import EPS, in_span
-from .witness import ProtocolTrace, WitnessReport
+from .witness import CorrelationTable, ProtocolTrace, WitnessReport
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -40,11 +41,11 @@ MODELS = tuple(RUNNERS)
 
 # `run bitantibit --mediator-bits k` costs what its report holds, 2k + 2
 # mediator matrices of 4^k entries.  Peak RSS and wall time per command, json /
-# text, fresh process, median of 5, on a 2-vCPU Xeon: k = 7 66 / 41 MiB,
-# 0.17 / 0.15 s; k = 8 182 / 69 MiB, 0.27 / 0.16 s; k = 9 696 / 195 MiB,
-# 0.65 / 0.21 s.  Above the 30 MiB of the interpreter the json peak grows
-# about 4x per k, so k = 10 would take about 2.7 GiB, over the 1 GiB memory
-# budget: a larger k is rejected before it allocates.
+# text, fresh process, median of 5 (3 at k = 9), on a loaded 2-vCPU Xeon:
+# k = 7 55 / 41 MiB, 0.37 / 0.32 s; k = 8 127 / 69 MiB, 0.52 / 0.40 s; k = 9
+# 447 / 195 MiB, 1.11 / 0.43 s.  Above the 30 MiB of the interpreter the json
+# peak grows about 4x per k, and the k = 10 json text alone would be about
+# 1 GiB, the whole memory budget: a larger k is rejected before it allocates.
 MAX_MEDIATOR_BITS = 9
 
 
@@ -86,8 +87,13 @@ def _interleave(head: str, items: list[str], seps: list[str]) -> list[str]:
     return parts
 
 
+# The report values that only the json and csv renderers turn into text.
+_ARRAYS = (np.ndarray, CorrelationTable)
+
+
 def format_array(a, level: int | None = None) -> str:
-    """A complex array of rank >= 1 as JSON nested lists of [re, im] pairs.
+    """A complex array of rank >= 1 as JSON nested lists of [re, im] pairs, or
+    a correlation table as its JSON rows (``_table_parts``).
 
     With ``level`` None the bytes are those of compact ``json.dumps``; with an
     int they are those of ``json.dumps(..., indent=2)`` for an array that sits
@@ -104,6 +110,8 @@ def format_array(a, level: int | None = None) -> str:
 def _array_parts(a, level: int | None = None) -> list[str]:
     """The text of ``format_array`` as a list of pieces, for a caller that
     joins it into a larger text."""
+    if isinstance(a, CorrelationTable):
+        return _table_parts(a, level)
     a = np.asarray(a, dtype=complex)
     rank = a.ndim - 1  # axes outside a row
     values = np.stack((a.real, a.imag), axis=-1)
@@ -127,6 +135,30 @@ def _array_parts(a, level: int | None = None) -> list[str]:
     return _interleave(head, leaves, seps)
 
 
+def _table_parts(table: CorrelationTable, level: int | None = None) -> list[str]:
+    """The correlation table as the JSON rows [i, j, Tr(A_i rho), Tr(B_j rho),
+    Tr(A_i B_j rho)], in pieces laid out as ``_array_parts`` lays out an
+    array.  Every number is written by one json.dumps call, each expectation
+    of one set once."""
+    na, nb = table.expect_product.shape
+    if not na * nb:
+        return ["[]"]
+    count = max(na, nb)
+    numbers = [*range(count), *table.expect_a.tolist(), *table.expect_b.tolist()]
+    numbers += table.expect_product.ravel().tolist()
+    # json writes no ", " inside a number
+    texts = np.array(json.dumps(numbers)[1:-1].split(", "), dtype=object)
+    pair = np.arange(na * nb)
+    i, j = np.divmod(pair, nb)
+    cells = texts[np.stack((i, j, count + i, count + na + j, count + na + nb + pair), axis=1)]
+    if level is None:
+        comma, pad = ", ", [""] * 3
+    else:
+        comma, pad = ",", ["\n" + "  " * (level + depth) for depth in range(3)]
+    head, seps = _separators(cells.shape, pad, comma)
+    return _interleave(head, cells.ravel().tolist(), seps)
+
+
 def _witness_dict(report: WitnessReport) -> dict:
     return {
         "purity": report.purity,
@@ -136,10 +168,7 @@ def _witness_dict(report: WitnessReport) -> dict:
         "lhs": report.lhs,
         "rhs": report.rhs,
         "max_violation": report.max_violation,
-        "correlations": [
-            [row.index_a, row.index_b, row.expect_a, row.expect_b, row.expect_product]
-            for row in report.correlations
-        ],
+        "correlations": report.correlations,
     }
 
 
@@ -218,14 +247,14 @@ def build_verify_report(eps: float) -> dict:
 def _holds_array(value) -> bool:
     if isinstance(value, (dict, list, tuple)):
         return any(map(_holds_array, value.values() if isinstance(value, dict) else value))
-    return isinstance(value, np.ndarray)
+    return isinstance(value, _ARRAYS)
 
 
 def _dump(value, level: int, out: list[str]) -> None:
     """Append the parts of ``json.dumps(value, indent=2)`` for a value
     ``level`` containers deep to ``out``, so the text of a large array is
     built once, by the final join, and not once per enclosing container."""
-    if isinstance(value, np.ndarray):
+    if isinstance(value, _ARRAYS):
         out.extend(_array_parts(value, level))
     elif not _holds_array(value):
         # json escapes newlines in strings: each one it writes starts an indented line
@@ -259,7 +288,7 @@ def _csv_rows(report: dict) -> list[tuple[str, str, str]]:
             for i, sub in enumerate(value):
                 walk(f"{prefix}[{i}]", sub)
         else:
-            text = format_array(value) if isinstance(value, np.ndarray) else json.dumps(value)
+            text = format_array(value) if isinstance(value, _ARRAYS) else json.dumps(value)
             rows.append((prefix.split(".")[0], prefix, text))
 
     walk("", report)
@@ -311,15 +340,22 @@ def render_text(report: dict) -> str:
 RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}
 
 
+# Reports are written in slices of this many characters: the text layer
+# encodes what it is given in one piece, so the encoded copy of a large
+# report never holds more than one slice.
+_WRITE_SLICE = 1 << 20
+
+
 def _emit(report: dict, fmt: str, out: str | None) -> int:
     """Write the report; the exit code says whether it was written and passed."""
     text = RENDERERS[fmt](report)
+    slices = (text[start : start + _WRITE_SLICE] for start in range(0, len(text), _WRITE_SLICE))
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(slices)
     else:
         try:
             with open(out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(slices)
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)
             return EXIT_IO
@@ -345,7 +381,10 @@ def _resolve_eps(value: float | None) -> float:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state in
+    it, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="bmvsim",
         description="Simulate entanglement mediation by locally classical mediators",

@@ -33,6 +33,7 @@ permutations applied to the state vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -348,6 +349,17 @@ def hopping_observable(n: int, i: int, j: int) -> np.ndarray:
     return word_matrix(n, ((i, True), (j, False))) + word_matrix(n, ((j, True), (i, False)))
 
 
+@cache
+def pair_observable_sets() -> tuple[LocalObservableSet, LocalObservableSet]:
+    """Q1 on modes (1, 2) and Q2 on modes (3, 4) of the 4-mode matter space,
+    enumerated once per process.  The stacks are read-only, so every run
+    shares them."""
+    return (
+        LocalObservableSet("Q1", enumerate_physical_observables(4, (1, 2)).matrices),
+        LocalObservableSet("Q2", enumerate_physical_observables(4, (3, 4)).matrices),
+    )
+
+
 def run_fermion_protocol(eps: float = EPS) -> ProtocolTrace:
     """Mediate entanglement between two mode-pair qubits via one middle mode.
 
@@ -387,9 +399,6 @@ def run_fermion_protocol(eps: float = EPS) -> ProtocolTrace:
             fermionic_partial_trace_modes(matter, 4, (1, 2)),
         ),
         (hopping_observable(2, 1, 2), hopping_observable(4, 1, 2), hopping_observable(4, 3, 4)),
-        (
-            LocalObservableSet("Q1", enumerate_physical_observables(4, (1, 2)).matrices),
-            LocalObservableSet("Q2", enumerate_physical_observables(4, (3, 4)).matrices),
-        ),
+        pair_observable_sets(),
         eps=eps,
     )

@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .statecore import EPS, close, is_density, is_hermitian
+from .statecore import EPS, close, is_density, mat_close
 
 # Tr(A rho) of Hermitian A and rho is real (its imaginary part is exactly 0
 # on every protocol); a larger relative imaginary part means a non-Hermitian
@@ -40,33 +40,42 @@ _PURITY_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class LocalObservableSet:
-    """Hermitian observables of one subsystem, embedded in the joint space."""
+    """Hermitian observables of one subsystem, embedded in the joint space.
+
+    ``matrices`` may be given as any sequence of square matrices of one shape;
+    the set holds them as one read-only (count, d, d) complex stack, which
+    protocols may therefore share between runs.
+    """
 
     subsystem: str
-    matrices: tuple[np.ndarray, ...]
+    matrices: np.ndarray
 
     def __post_init__(self):
-        for m in self.matrices:
-            if not is_hermitian(m):
-                raise ValueError(f"observable set {self.subsystem!r} contains a non-Hermitian matrix")
+        stack = np.array(self.matrices, dtype=complex)
+        if stack.ndim == 1 and not stack.size:  # no observables
+            stack = stack.reshape(0, 0, 0)
+        square = stack.ndim == 3 and stack.shape[1] == stack.shape[2]
+        if not (square and mat_close(stack, stack.conj().swapaxes(1, 2))):
+            raise ValueError(f"observable set {self.subsystem!r} contains a non-Hermitian matrix")
+        stack.flags.writeable = False
+        object.__setattr__(self, "matrices", stack)
 
     def __len__(self) -> int:
         return len(self.matrices)
 
 
-@dataclass
-class CorrelationRow:
-    """Expectation data for one observable pair."""
+@dataclass(frozen=True)
+class CorrelationTable:
+    """Tr(A_i rho), Tr(B_j rho) and Tr(A_i B_j rho) of every observable pair,
+    as float64 arrays of shapes (na,), (nb,) and (na, nb); its length is the
+    number of pairs."""
 
-    index_a: int
-    index_b: int
-    expect_a: float
-    expect_b: float
-    expect_product: float
+    expect_a: np.ndarray
+    expect_b: np.ndarray
+    expect_product: np.ndarray
 
-    @property
-    def violation(self) -> float:
-        return abs(self.expect_a * self.expect_b - self.expect_product)
+    def __len__(self) -> int:
+        return self.expect_product.size
 
 
 @dataclass
@@ -77,7 +86,7 @@ class WitnessReport:
     lhs: float
     rhs: float
     max_violation: float
-    correlations: list[CorrelationRow]
+    correlations: CorrelationTable
     eps: float
 
     @property
@@ -104,13 +113,12 @@ class ProtocolTrace:
     summary: dict = field(default_factory=dict)
 
 
-def _expectations(ops: np.ndarray, rho: np.ndarray) -> list[float]:
-    """Tr(op rho) of each operator of a (count, d, d) stack."""
-    vals = np.trace(ops @ rho, axis1=-2, axis2=-1)
+def _real(vals: np.ndarray) -> np.ndarray:
+    """The real parts of expectation values, each checked to be real."""
     unreal = np.abs(vals.imag) > _IMAG_TOL * np.maximum(1.0, np.abs(vals))
     if unreal.any():
-        raise ValueError(f"expectation value is not real: {complex(vals[np.argmax(unreal)])}")
-    return vals.real.tolist()
+        raise ValueError(f"expectation value is not real: {complex(vals.flat[np.argmax(unreal)])}")
+    return vals.real
 
 
 def purity(rho: np.ndarray, eps: float = EPS) -> float:
@@ -137,10 +145,11 @@ def uncorrelated_test(
     ``state`` is a pure state, given either as a vector or as a density
     operator with purity 1 (within eps); mixed inputs raise ``not-pure``.
     The joint observable of a pair is the matrix product A B; the table is
-    computed one A at a time, all of B in one stacked product.  The report
-    flags the state as uncorrelated iff every pair satisfies the factorization
-    equality within eps; otherwise the maximal-violation pair is recorded,
-    ties broken by lowest index pair.
+    computed one A at a time, all of B in one stacked product, each entry the
+    trace of one (A B) rho, and held as float64 arrays.  The report flags the
+    state as uncorrelated iff every pair satisfies the factorization equality
+    within eps; otherwise the maximal-violation pair is recorded, ties (within
+    eps) broken by lowest index pair.
     """
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
@@ -157,29 +166,36 @@ def uncorrelated_test(
         raise ValueError(f"not-pure: purity {p} differs from 1")
 
     dim = rho.shape[0]
-    stack_a, stack_b = (np.array(s.matrices, dtype=complex).reshape(-1, dim, dim) for s in (set_a, set_b))
-    expect_b = _expectations(stack_b, rho)
-    rows: list[CorrelationRow] = []
-    best: CorrelationRow | None = None
-    for i, (a, ea) in enumerate(zip(stack_a, _expectations(stack_a, rho))):
-        for j, (eb, eab) in enumerate(zip(expect_b, _expectations(a @ stack_b, rho))):
-            row = CorrelationRow(i, j, ea, eb, eab)
-            rows.append(row)
-            if best is None or row.violation > best.violation + eps:
-                best = row
+    stack_a, stack_b = (s.matrices.reshape(-1, dim, dim) for s in (set_a, set_b))
+    expect_b = _real(np.trace(stack_b @ rho, axis1=-2, axis2=-1))
+    expect_a = _real(np.trace(stack_a @ rho, axis1=-2, axis2=-1))
+    products = np.empty((len(stack_a), len(stack_b)), dtype=complex)
+    for i, a in enumerate(stack_a):
+        products[i] = np.trace((a @ stack_b) @ rho, axis1=-2, axis2=-1)
+    table = CorrelationTable(expect_a, expect_b, _real(products))
 
-    max_violation = best.violation if best is not None else 0.0
-    uncorrelated = max_violation <= eps
-    if uncorrelated or best is None:
-        return WitnessReport(p, True, None, 0.0, 0.0, max_violation, rows, eps)
+    # The same IEEE operations as |ea * eb - eab| on Python floats.  A pair
+    # that exceeds the record by more than eps becomes the record, as in a
+    # scan in pair order; the loop jumps from one record to the next.
+    violations = np.abs(expect_a[:, None] * expect_b - table.expect_product).ravel()
+    best = 0
+    while best + 1 < violations.size:
+        later = violations[best + 1 :] > violations[best] + eps
+        if not later.any():
+            break
+        best += 1 + int(np.argmax(later))
+    max_violation = float(violations[best]) if violations.size else 0.0
+    if max_violation <= eps:
+        return WitnessReport(p, True, None, 0.0, 0.0, max_violation, table, eps)
+    i, j = divmod(best, len(expect_b))
     return WitnessReport(
         purity=p,
         uncorrelated=False,
-        violating_pair=(best.index_a, best.index_b),
-        lhs=best.expect_a * best.expect_b,
-        rhs=best.expect_product,
+        violating_pair=(i, j),
+        lhs=float(expect_a[i] * expect_b[j]),
+        rhs=float(table.expect_product[i, j]),
         max_violation=max_violation,
-        correlations=rows,
+        correlations=table,
         eps=eps,
     )
 

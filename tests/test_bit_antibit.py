@@ -7,13 +7,14 @@ from bmvsim.bit_antibit import (
     PairingCertificate,
     SystemSignature,
     pair_flip_observable,
+    pair_observable_sets,
     protocol_signature,
     run_bit_antibit_protocol,
     swap_bits,
     swap_chain,
     validate_state,
 )
-from bmvsim.statecore import EPS, dyad, mat_close, partial_trace
+from bmvsim.statecore import EPS, dyad, hermitian_basis, mat_close, partial_trace, tensor
 
 RNG = np.random.default_rng(101)
 
@@ -317,6 +318,24 @@ def test_protocol_witness():
     trace = run_bit_antibit_protocol()
     assert trace.summary["initial_report"].uncorrelated
     assert trace.report.entangled
+
+
+def test_pair_observable_sets_equal_tensor_builds():
+    # the broadcast product gives the entries of tensor bit for bit, signed zeros included
+    eye = np.eye(4)
+    q1, q2 = pair_observable_sets()
+    builds = (
+        (q1, [tensor(h, eye) for h in hermitian_basis(4)]),
+        (q2, [tensor(eye, h) for h in hermitian_basis(4)]),
+    )
+    for got, want in builds:
+        want = np.array(want)
+        assert np.array_equal(got.matrices, want)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(got.matrices)), np.signbit(part(want)))
+        assert not got.matrices.flags.writeable
+    assert (q1.subsystem, q2.subsystem) == ("Q1", "Q2")
+    assert pair_observable_sets() is pair_observable_sets()
 
 
 def _initial_state(k: int) -> np.ndarray:

@@ -4,12 +4,14 @@ import json
 
 import pytest
 
+from bmvsim import cli
 from bmvsim.cli import (
     EXIT_IO,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
     MAX_MEDIATOR_BITS,
+    build_parser,
     build_run_report,
     build_tomography_report,
     build_verify_report,
@@ -236,3 +238,38 @@ def test_eps_below_rounding_still_writes_a_report(capsys, tmp_path, model, eps):
     text = target.read_text()
     assert text.endswith("RESULT: PASS\n" if code == EXIT_OK else "RESULT: FAIL\n")
     assert code in (EXIT_OK, EXIT_MISMATCH)
+
+
+def test_consecutive_calls_share_no_state(capsys, monkeypatch):
+    # main parses with one parser per process: no flag of one call may reach the next
+    assert build_parser() is build_parser()
+    monkeypatch.delenv("BMV_EPS", raising=False)
+    _, fresh, _ = run_cli(capsys, ["run", "bitantibit", "--format", "json"])
+    _, steps, _ = run_cli(capsys, ["run", "bitantibit", "--format", "json", "--trace-steps"])
+    _, again, _ = run_cli(capsys, ["run", "bitantibit", "--format", "json"])
+    assert "state" in json.loads(steps)["steps"][0]
+    assert again == fresh and "state" not in json.loads(again)["steps"][0]
+
+    def eps_of(argv):
+        code, out, _ = run_cli(capsys, ["run", "fermion", "--format", "json", *argv])
+        assert code == EXIT_OK
+        return json.loads(out)["meta"]["eps"]
+
+    assert eps_of(["--eps", "1e-8"]) == 1e-8
+    assert eps_of([]) == EPS
+    monkeypatch.setenv("BMV_EPS", "1e-9")
+    assert eps_of(["--eps", "1e-8"]) == 1e-8
+    assert eps_of([]) == 1e-9
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_report_written_in_slices_is_the_rendered_text(capsys, monkeypatch, tmp_path, fmt):
+    # slices of 7 characters end in every kind of place in the text
+    argv = ["run", "anyon", "--format", fmt, "--trace-steps"]
+    expected = cli.RENDERERS[fmt](build_run_report(cli.RUNNERS["anyon"](eps=EPS), EPS, True))
+    monkeypatch.setattr(cli, "_WRITE_SLICE", 7)
+    code, out, _ = run_cli(capsys, argv)
+    assert code == EXIT_OK and out == expected
+    target = tmp_path / "report"
+    assert main([*argv, "--out", str(target)]) == EXIT_OK
+    assert target.read_bytes() == expected.encode("ascii")

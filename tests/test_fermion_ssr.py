@@ -3,6 +3,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+from bmvsim import fermion_ssr
 from bmvsim.fermion_ssr import (
     annihilator_matrix,
     count_scaling_check,
@@ -12,6 +13,7 @@ from bmvsim.fermion_ssr import (
     fermionic_partial_trace_modes,
     fermionic_swap,
     hopping_observable,
+    pair_observable_sets,
     parity_matrix,
     run_fermion_protocol,
     vacuum_state,
@@ -311,3 +313,20 @@ def test_protocol_witness_verdicts():
     assert not trace.report.uncorrelated
     assert trace.report.violating_pair is not None
     assert abs(trace.report.lhs - trace.report.rhs) > EPS
+
+
+def test_protocol_observable_sets_are_shared_read_only_constants(monkeypatch):
+    q1, q2 = pair_observable_sets()
+    assert pair_observable_sets() is pair_observable_sets()
+    for got, modes in ((q1, (1, 2)), (q2, (3, 4))):
+        want = np.array(enumerate_physical_observables(4, modes).matrices)
+        assert np.array_equal(got.matrices, want)
+        assert not got.matrices.flags.writeable
+
+    def refuse(*args):
+        raise AssertionError("the protocol enumerated its observables again")
+
+    monkeypatch.setattr(fermion_ssr, "enumerate_physical_observables", refuse)
+    trace = run_fermion_protocol()
+    assert trace.report.entangled
+    assert trace.report.correlations.expect_product.shape == (len(q1), len(q2))

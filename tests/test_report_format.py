@@ -1,10 +1,11 @@
 """The report renderers against the stdlib ``json`` encoder and ``csv`` writer.
 
-``cli.format_array`` writes complex arrays straight from numpy, and
-``cli.render_csv`` quotes its cells itself.  The oracle is the encoding they
-replaced: arrays turned into nested lists of [re, im] pairs (``pairs``) and
-the whole report passed through ``json.JSONEncoder(indent=2)``, or
-``json.dumps`` per csv cell and the rows through ``csv.writer``.
+``cli.format_array`` writes complex arrays and the witness's correlation
+table straight from numpy, and ``cli.render_csv`` quotes its cells itself.
+The oracle is the encoding they replaced: arrays turned into nested lists of
+[re, im] pairs (``pairs``), the table into its rows (``table_rows``), and the
+whole report passed through ``json.JSONEncoder(indent=2)``, or ``json.dumps``
+per csv cell and the rows through ``csv.writer``.
 """
 
 import csv
@@ -17,6 +18,7 @@ import pytest
 from bmvsim import cli
 from bmvsim.acceptance import RUNNERS
 from bmvsim.statecore import EPS
+from bmvsim.witness import CorrelationTable
 
 PLANTED = (-0.0, 0.0, 5e-324, 1e-5, 1e16, 1 / 3, float("nan"), float("inf"), float("-inf"))
 SHAPES = [(1,), (5,), (1, 1), (1, 4), (3, 1), (4, 4), (1, 1, 1), (2, 1, 3), (3, 4, 2)]
@@ -32,10 +34,19 @@ def pairs(a) -> list:
     return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
+def table_rows(table: CorrelationTable) -> list:
+    """A correlation table as its rows [i, j, Tr(A_i rho), Tr(B_j rho), Tr(A_i B_j rho)]."""
+    ea, eb, eab = table.expect_a.tolist(), table.expect_b.tolist(), table.expect_product.tolist()
+    return [[i, j, ea[i], eb[j], eab[i][j]] for i in range(len(ea)) for j in range(len(eb))]
+
+
 def to_lists(value):
-    """The report with every array replaced by its ``pairs`` lists."""
+    """The report with every array replaced by its ``pairs`` lists and the
+    correlation table by its rows."""
     if isinstance(value, np.ndarray):
         return pairs(value)
+    if isinstance(value, CorrelationTable):
+        return table_rows(value)
     if isinstance(value, dict):
         return {key: to_lists(sub) for key, sub in value.items()}
     if isinstance(value, list):
@@ -149,6 +160,49 @@ ROW_CASES = {
 def test_format_array_row_dedup(a):
     # rows equal under == but not bit for bit (-0.0 and 0.0) must stay apart
     assert_matches_json(a)
+
+
+def _table(na, nb, values) -> CorrelationTable:
+    """A table whose expectations are ``values`` in order, cycled as needed."""
+    flat = np.resize(np.array(values, dtype=float), na + nb + na * nb)
+    return CorrelationTable(flat[:na], flat[na : na + nb], flat[na + nb :].reshape(na, nb))
+
+
+def _random_table(seed, na, nb) -> CorrelationTable:
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=na + nb + na * nb) * 10.0 ** rng.integers(-20, 20, size=na + nb + na * nb)
+    planted = rng.random(values.size) < 0.3
+    values[planted] = rng.choice(PLANTED, size=int(planted.sum()))
+    return _table(na, nb, values)
+
+
+TABLE_CASES = {
+    "planted": _table(4, 5, PLANTED),
+    "planted, reversed": _table(3, 3, PLANTED[::-1]),
+    "random 16x16": _random_table(16, 16, 16),
+    "random 3x7": _random_table(37, 3, 7),
+    "one row": _table(1, 1, (1 / 3, -0.0, 5e-324)),
+    "one A": _table(1, 4, PLANTED),
+    "empty": _table(0, 0, ()),
+    "empty A": _table(0, 16, PLANTED),
+    "empty B": _table(4, 0, PLANTED),
+}
+
+
+@pytest.mark.parametrize("table", TABLE_CASES.values(), ids=TABLE_CASES.keys())
+def test_correlation_table_matches_json(table):
+    rows = table_rows(table)
+    assert len(rows) == len(table)
+    assert cli.format_array(table) == json.dumps(rows)
+    indented = json.dumps(rows, indent=2)
+    for level in range(4):
+        assert cli.format_array(table, level) == indented.replace("\n", "\n" + "  " * level)
+
+
+def test_correlation_table_planted_values():
+    text = cli.format_array(TABLE_CASES["planted"])
+    tokens = ("[0, 0, ", "[3, 4, ", "-0.0", "5e-324", "1e+16", "0.3333333333333333", "NaN", "Infinity", "-Infinity")
+    assert all(token in text for token in tokens)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from bmvsim import bit_antibit, fermion_ssr
+from bmvsim.acceptance import RUNNERS
 from bmvsim.bit_antibit import SystemSignature, run_bit_antibit_protocol, validate_state
 from bmvsim.fermion_ssr import (
     creator_matrix,
@@ -18,12 +22,38 @@ from bmvsim.ising_anyon import (
 )
 from bmvsim.statecore import EPS, dyad, hermitian_basis, mat_close, random_hermitian, random_state, tensor
 from bmvsim.witness import (
-    CorrelationRow,
     LocalObservableSet,
     purity,
     schmidt_rank,
     uncorrelated_test,
 )
+
+
+@dataclass
+class CorrelationRow:
+    """Expectation data for one observable pair."""
+
+    index_a: int
+    index_b: int
+    expect_a: float
+    expect_b: float
+    expect_product: float
+
+    @property
+    def violation(self) -> float:
+        return abs(self.expect_a * self.expect_b - self.expect_product)
+
+
+def table_rows(table) -> list[CorrelationRow]:
+    """The rows of a witness report's correlation table, in pair order."""
+    ea, eb, eab = table.expect_a.tolist(), table.expect_b.tolist(), table.expect_product.tolist()
+    return [CorrelationRow(i, j, ea[i], eb[j], eab[i][j]) for i in range(len(ea)) for j in range(len(eb))]
+
+
+def row_bits(rows) -> np.ndarray:
+    """The float64 bit patterns of the rows' expectations (signed zeros apart)."""
+    values = np.array([(r.expect_a, r.expect_b, r.expect_product) for r in rows], dtype=float)
+    return values.view(np.int64)
 
 
 def reference_table(rho, set_a, set_b, eps=EPS):
@@ -190,22 +220,67 @@ def _with_near_ties(name, make, rng):
     return LocalObservableSet(name, tuple(mats + [m * (1 + 1e-13) for m in mats]))
 
 
-@pytest.mark.parametrize("dim_a, dim_b", [(2, 2), (2, 4), (4, 4)])
-def test_batched_table_matches_per_pair_oracle(dim_a, dim_b):
+def _near_tie_cases(dim_a, dim_b):
+    """Seeded random pure states against random local sets with near-ties."""
     rng = np.random.default_rng(300 + dim_a * dim_b)
     for _ in range(6):
         rho = dyad(random_state(dim_a * dim_b, rng))
         set_a = _with_near_ties("A", lambda: tensor(random_hermitian(dim_a, rng), np.eye(dim_b)), rng)
         set_b = _with_near_ties("B", lambda: tensor(np.eye(dim_a), random_hermitian(dim_b, rng)), rng)
+        yield rho, set_a, set_b
+
+
+PROTOCOL_SETS = {
+    "fermion": fermion_ssr.pair_observable_sets,
+    "anyon": lambda: (matter_observable_set(1), matter_observable_set(2)),
+    "bitantibit": bit_antibit.pair_observable_sets,
+}
+
+
+def _protocol_cases(model):
+    """A model's own Q1/Q2 sets, on its protocol's initial and final matter
+    states and on seeded random pure states of its matter space."""
+    set_a, set_b = PROTOCOL_SETS[model]()
+    trace = RUNNERS[model]()
+    rng = np.random.default_rng(310 + len(model))
+    rhos = [trace.steps[0].matter, trace.steps[-1].matter]
+    rhos += [dyad(random_state(len(rhos[0]), rng)) for _ in range(6)]
+    for rho in rhos:
+        yield rho, set_a, set_b
+
+
+TABLE_CASES = [
+    *(pytest.param(_near_tie_cases, (a, b), id=f"{a}-{b}") for a, b in [(2, 2), (2, 4), (4, 4)]),
+    *(pytest.param(_protocol_cases, (model,), id=model) for model in PROTOCOL_SETS),
+]
+
+
+@pytest.mark.parametrize("cases, args", TABLE_CASES)
+def test_batched_table_matches_per_pair_oracle(cases, args):
+    near_ties = cases is _near_tie_cases
+    verdicts = []
+    for rho, set_a, set_b in cases(*args):
         rows, best = reference_table(rho, set_a, set_b)
         report = uncorrelated_test(rho, set_a, set_b)
-        assert report.correlations == rows
+        assert table_rows(report.correlations) == rows
+        assert np.array_equal(row_bits(table_rows(report.correlations)), row_bits(rows))
+        assert len(report.correlations) == len(set_a) * len(set_b)
         assert report.max_violation == best.violation
-        assert not report.uncorrelated
+        assert report.uncorrelated == (best.violation <= EPS)
+        verdicts.append(report.uncorrelated)
+        if report.uncorrelated:
+            assert report.violating_pair is None and (report.lhs, report.rhs) == (0.0, 0.0)
+            continue
         assert report.violating_pair == (best.index_a, best.index_b)
         assert (report.lhs, report.rhs) == (best.expect_a * best.expect_b, best.expect_product)
-        # the tie rule keeps the first of each twin pair
-        assert best.index_a < len(set_a) // 2 and best.index_b < len(set_b) // 2
+        if near_ties:
+            # the tie rule keeps the first of each twin pair
+            assert best.index_a < len(set_a) // 2 and best.index_b < len(set_b) // 2
+    if near_ties:
+        assert not any(verdicts)
+    else:
+        # the protocol starts uncorrelated and ends entangled
+        assert verdicts[:2] == [True, False]
 
 
 def test_empty_observable_set_is_uncorrelated_with_no_rows():
@@ -215,7 +290,7 @@ def test_empty_observable_set_is_uncorrelated_with_no_rows():
     for sets in ((empty, b), (a, empty), (empty, empty)):
         report = uncorrelated_test(final, *sets)
         assert report.uncorrelated
-        assert report.correlations == []
+        assert table_rows(report.correlations) == []
         assert report.violating_pair is None
         assert report.max_violation == 0.0
 
@@ -377,6 +452,41 @@ def test_protocol_step_reductions_are_density_operators():
 def test_observable_set_rejects_non_hermitian():
     with pytest.raises(ValueError, match="non-Hermitian"):
         LocalObservableSet("A", (np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),))
+    # one bad matrix anywhere in the stack, by more than EPS
+    hermitian = hermitian_basis(3)
+    for position in (0, 4, len(hermitian)):
+        bad = hermitian[position % len(hermitian)].copy()
+        bad[0, 2] += 2 * EPS
+        mats = hermitian[:position] + [bad] + hermitian[position:]
+        with pytest.raises(ValueError, match="non-Hermitian"):
+            LocalObservableSet("A", tuple(mats))
+    # within EPS it is Hermitian
+    near = hermitian[4].copy()
+    near[0, 2] += 0.5 * EPS
+    assert len(LocalObservableSet("A", (*hermitian, near))) == len(hermitian) + 1
+
+
+def test_observable_set_rejects_non_square_and_ragged_input():
+    with pytest.raises(ValueError, match="non-Hermitian"):
+        LocalObservableSet("A", (np.zeros((2, 3)),))
+    with pytest.raises(ValueError, match="non-Hermitian"):
+        LocalObservableSet("A", (np.ones(2),))
+    with pytest.raises(ValueError, match="non-Hermitian"):
+        LocalObservableSet("A", np.eye(2))  # one matrix, not a sequence of them
+    for ragged in ((np.eye(2), np.eye(4)), (np.eye(2), np.ones(2))):
+        with pytest.raises(ValueError):
+            LocalObservableSet("A", ragged)
+
+
+def test_observable_set_holds_a_read_only_copy():
+    mats = [np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)]
+    s = LocalObservableSet("A", tuple(mats))
+    assert s.matrices.shape == (2, 2, 2) and s.matrices.dtype == complex
+    assert not s.matrices.flags.writeable
+    mats[0][0, 0] = 5.0
+    assert s.matrices[0, 0, 0] == 1.0
+    with pytest.raises(ValueError):
+        s.matrices[0, 0, 0] = 2.0
 
 
 def test_observable_sets_commute_with_their_complement():
