@@ -34,27 +34,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
 
 import numpy as np
 
 from .statecore import EPS, dagger, reduce_pure
 from .witness import LocalObservableSet, ProtocolTrace, run_protocol
 
-# Tolerance for linear-independence decisions while enumerating observables.
-# A candidate is kept iff its component orthogonal to the earlier kept ones
-# has norm above this.  Candidates are integer-entried matrices, so the
-# residuals split far apart: over every enumeration the package runs (full
-# registers k = 1..5 and the protocol subsets) the offset-split sweep keeps
-# residuals of 0.177 (k = 5) and up, and rejects residuals of 3.9e-17 and
-# below.
+# Tolerance of the independence test while enumerating observables: a candidate
+# is kept iff its residual against the earlier kept ones is above this.  The
+# candidates are integer-entried, so over every enumeration the package and its
+# tests run the kept ones have |R_jj| >= 0.177 (k = 5) and the dropped ones are
+# exact multiples of earlier ones (residual 0; 1.2e-15 projected on the kept).
 _RANK_TOL = 1e-8
-
-# Candidates projected together, with matrix-matrix products, against the
-# kept rows in the sweep of one offset class.  At k <= 5 no class has more than
-# 64 candidates, so each class is one block; on a 2-vCPU Xeon blocks of 16, 64
-# and 128 run the k = 1..5 counts equally fast, within noise.
-_SWEEP_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -154,50 +145,51 @@ class FermionObservableBasis:
         return len(self.matrices)
 
 
-def _even_words(modes: tuple[int, ...]):
-    """Normal-ordered even-degree words built from the given modes.
+def _even_word_actions(n: int, modes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """``_word_actions`` of every even normal-ordered word on ``modes``, from bit masks.
 
-    Per mode the factor is one of {1, c^dag, c, c^dag c}; the word lists all
-    creators ascending, then all annihilators descending.
+    Word w has one base-4 digit dag + 2 ann per mode, modes[0] most significant:
+    c^dag over the modes D ascending, then c over B descending, flipping D ^ B
+    and alive on |s> when B is occupied and D empty in s & ~B.  With X(M) the
+    modes before an odd number of modes of M, its sign is parity(s & X(B))
+    parity((s & ~B) & X(D)) (-1)^(q(q-1)/2), q = |B|: the last factor takes back
+    the modes of B that the annihilators, lowest first, have already emptied.
     """
-    options = ((False, False), (True, False), (False, True), (True, True))
-    for choice in product(options, repeat=len(modes)):
-        dag_modes = [m for m, (d, _) in zip(modes, choice) if d]
-        ann_modes = [m for m, (_, a) in zip(modes, choice) if a]
-        if (len(dag_modes) + len(ann_modes)) % 2:
-            continue
-        yield tuple((m, True) for m in dag_modes) + tuple((m, False) for m in reversed(ann_modes))
+    digits = np.arange(1 << 2 * len(modes))
+    creators = annihilators = x_creators = x_annihilators = q = 0
+    for place, mode in enumerate(reversed(modes)):
+        bit, before = 1 << (n - mode), (1 << n) - (2 << (n - mode))
+        dag, ann = (digits >> 2 * place) & 1, (digits >> 2 * place + 1) & 1
+        creators, annihilators, q = creators | dag * bit, annihilators | ann * bit, q + ann
+        x_creators, x_annihilators = x_creators ^ dag * before, x_annihilators ^ ann * before
+    even = _parity_signs(creators ^ annihilators) > 0
+    d, b, xd, xb, q = (a[even, None] for a in (creators, annihilators, x_creators, x_annihilators, q))
+    s = np.arange(1 << n)
+    rest = s & ~b
+    signs = _parity_signs((s & xb) ^ (rest & xd)) * np.where(q & 2, -1.0, 1.0)
+    return (d ^ b)[:, 0], np.where(((s & b) == b) & ((rest & d) == 0), signs, 0.0)
 
 
 def _independent_subset(rows: np.ndarray) -> list[int]:
     """Indices of the rows, in order, that are independent of the earlier kept ones.
 
-    Blocked classical Gram-Schmidt with one re-orthogonalisation pass: each
-    block of _SWEEP_BLOCK rows is projected twice against the kept
-    orthonormal rows with matrix-matrix products, then its rows are accepted
-    one at a time, each projected twice against the rows kept earlier in the
-    same block.
+    Zero rows and exact scalar multiples of earlier rows (equal bytes once
+    scaled to a leading 1, plus 0.0 so that -0.0 reads +0.0) are dropped.  The
+    rest are the columns of a QR whose |R_jj| is row j's residual against the
+    rows before it; those before the first |R_jj| <= _RANK_TOL are kept, and
+    the QR is taken again of them and the rows after that one, until they span.
     """
+    pivots = np.take_along_axis(rows, np.argmax(rows != 0, axis=1)[:, None], axis=1)
+    scaled = rows / np.where(pivots == 0, 1, pivots) + 0.0
+    row_bytes = np.dtype((np.void, scaled.itemsize * rows.shape[1]))
+    _, first = np.unique(scaled.view(row_bytes)[:, 0], return_index=True)
+    todo = np.sort(first[pivots[first, 0] != 0]).tolist()
     kept: list[int] = []
-    ortho = np.empty((min(rows.shape), rows.shape[1]), dtype=complex)
-    rank = 0
-    for start in range(0, len(rows), _SWEEP_BLOCK):
-        block = np.array(rows[start : start + _SWEEP_BLOCK], dtype=complex)
-        done = ortho[:rank]
-        for _ in range(2):
-            block -= (block @ done.conj().T) @ done
-        first = rank
-        for index, v in enumerate(block, start):
-            new = ortho[first:rank]
-            for _ in range(2):
-                v -= (new.conj() @ v) @ new
-            norm = np.vdot(v, v).real ** 0.5
-            if norm > _RANK_TOL:
-                ortho[rank] = v / norm
-                rank += 1
-                kept.append(index)
-                if rank == len(ortho):
-                    return kept  # the kept rows span every row; the rest are dependent
+    while todo and len(kept) < min(rows.shape):
+        r = np.linalg.qr(rows[kept + todo].T, mode="r")
+        small = np.append(np.abs(r.diagonal()[len(kept) :]) <= _RANK_TOL, True)
+        accepted = int(np.argmax(small))  # the rows before the first small |R_jj|
+        kept, todo = kept + todo[:accepted], todo[accepted + 1 :]
     return kept
 
 
@@ -217,6 +209,8 @@ def enumerate_physical_observables(n: int, modes) -> FermionObservableBasis:
     earlier kept ones is its residual against those of its own offset: the
     sweep runs once per offset on rows of length 2^n, the values on the
     offset, with the same decisions, and only kept candidates become matrices.
+    In every enumeration the package runs, a class holds no dependent candidate
+    before it is full but adjoint duplicates, so each class takes one QR.
     """
     modes = tuple(sorted(set(int(m) for m in modes)))
     if not modes:
@@ -224,8 +218,7 @@ def enumerate_physical_observables(n: int, modes) -> FermionObservableBasis:
     if modes[0] < 1 or modes[-1] > n:
         raise ValueError(f"bad-mode: subset {modes} outside 1..{n}")
 
-    words = list(_even_words(modes))
-    offsets, values = _word_actions(n, words)
+    offsets, values = _even_word_actions(n, modes)
     m = values.astype(complex)
     # m^dag maps |s ^ d> to conj(m[s]) |s>: on the offset d its values are conj(m[s ^ d])
     m_dag = np.take_along_axis(m, np.arange(1 << n) ^ offsets[:, None], axis=1).conj()
@@ -233,11 +226,8 @@ def enumerate_physical_observables(n: int, modes) -> FermionObservableBasis:
     rows = np.stack((np.where(hermitian[:, None], m, m + m_dag), 1j * (m - m_dag)), axis=1)
     present = np.stack((np.ones_like(hermitian), ~hermitian), axis=1).reshape(-1)
     rows, offsets = rows.reshape(-1, 1 << n)[present], np.repeat(offsets, 2)[present]
-    kept = []
-    for offset in np.unique(offsets):
-        positions = np.flatnonzero(offsets == offset)
-        kept += positions[_independent_subset(rows[positions])].tolist()
-    kept.sort()
+    classes = [np.flatnonzero(offsets == offset) for offset in np.unique(offsets)]
+    kept = np.sort(np.concatenate([c[_independent_subset(rows[c])] for c in classes]))
     return FermionObservableBasis(n, modes, tuple(_scatter(n, offsets[kept], rows[kept])))
 
 

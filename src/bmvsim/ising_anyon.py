@@ -32,6 +32,7 @@ The qubit encoding identifies |0> with pair charge labels (1, 0) and |1> with
 from __future__ import annotations
 
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -270,6 +271,12 @@ def matter_observable_set(sector: int) -> LocalObservableSet:
     return LocalObservableSet(f"Q{sector}", (eye, x, z, y))
 
 
+@cache
+def pair_observable_sets() -> tuple[LocalObservableSet, LocalObservableSet]:
+    """Q1 and Q2, built once per process; read-only, so every run shares them."""
+    return matter_observable_set(1), matter_observable_set(2)
+
+
 # ---------------------------------------------------------------------------
 # the mediation protocol
 
@@ -315,7 +322,7 @@ def run_anyon_protocol(eps: float = EPS) -> ProtocolTrace:
         lambda state: (trace_matter_to_mediator(state), trace_mediator(state)),
         lambda matter: (trace_q2(matter), trace_q1(matter)),
         (local_x(), embedded_x(1), embedded_x(2)),
-        (matter_observable_set(1), matter_observable_set(2)),
+        pair_observable_sets(),
         eps=eps,
     )
     trace.summary["displays"] = {

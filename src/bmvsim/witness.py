@@ -143,7 +143,8 @@ def uncorrelated_test(
     """Check the factorization of expectations over all observable pairs.
 
     ``state`` is a pure state, given either as a vector or as a density
-    operator with purity 1 (within eps); mixed inputs raise ``not-pure``.
+    operator with purity 1 (within eps); mixed inputs raise ``not-pure`` and
+    observables of another dimension ``bad-partition``.
     The joint observable of a pair is the matrix product A B; the table is
     computed one A at a time, all of B in one stacked product, each entry the
     trace of one (A B) rho, and held as float64 arrays.  The report flags the
@@ -166,6 +167,8 @@ def uncorrelated_test(
         raise ValueError(f"not-pure: purity {p} differs from 1")
 
     dim = rho.shape[0]
+    if any(len(s) and s.matrices.shape[1:] != (dim, dim) for s in (set_a, set_b)):
+        raise ValueError(f"bad-partition: observable matrices must be {dim} x {dim}, as the state")
     stack_a, stack_b = (s.matrices.reshape(-1, dim, dim) for s in (set_a, set_b))
     expect_b = _real(np.trace(stack_b @ rho, axis1=-2, axis2=-1))
     expect_a = _real(np.trace(stack_a @ rho, axis1=-2, axis2=-1))

@@ -11,11 +11,11 @@ import pytest
 
 from bmvsim.fermion_ssr import (
     _RANK_TOL,
-    _SWEEP_BLOCK,
-    _even_words,
+    _even_word_actions,
     _independent_subset,
     _parity_signs,
     _trace_signs,
+    _word_actions,
     annihilator_matrix,
     creator_matrix,
     enumerate_physical_observables,
@@ -196,6 +196,21 @@ def normal_ordered_words(modes):
         yield tuple((m, True) for m in dag_modes) + tuple((m, False) for m in reversed(ann_modes))
 
 
+def even_words(modes):
+    """Normal-ordered even-degree words built from the given modes.
+
+    Per mode the factor is one of {1, c^dag, c, c^dag c}; the word lists all
+    creators ascending, then all annihilators descending.
+    """
+    options = ((False, False), (True, False), (False, True), (True, True))
+    for choice in product(options, repeat=len(modes)):
+        dag_modes = [m for m, (d, _) in zip(modes, choice) if d]
+        ann_modes = [m for m, (_, a) in zip(modes, choice) if a]
+        if (len(dag_modes) + len(ann_modes)) % 2:
+            continue
+        yield tuple((m, True) for m in dag_modes) + tuple((m, False) for m in reversed(ann_modes))
+
+
 def word_offset(n, word):
     """XOR of the occupation bits the word's factors flip."""
     offset = 0
@@ -208,7 +223,7 @@ def reference_candidates(n, modes):
     """(offset, candidate) pairs: each even word m if Hermitian, else
     m + m^dag and i(m - m^dag), in word order, with the word's offset."""
     candidates = []
-    for word in _even_words(modes):
+    for word in even_words(modes):
         m = reference_word_matrix(n, word)
         d = word_offset(n, word)
         if mat_close(m, dagger(m), 1e-12):
@@ -233,6 +248,48 @@ def sequential_kept_indices(candidates):
     return kept
 
 
+def blocked_kept_indices(rows, block_size=64):
+    """Indices kept by blocked classical Gram-Schmidt with one
+    re-orthogonalisation pass: each block of rows is projected twice against
+    the kept orthonormal rows with matrix-matrix products, then its rows are
+    accepted one at a time, each projected twice against the rows kept
+    earlier in the same block."""
+    kept = []
+    ortho = np.empty((min(rows.shape), rows.shape[1]), dtype=complex)
+    rank = 0
+    for start in range(0, len(rows), block_size):
+        block = np.array(rows[start : start + block_size], dtype=complex)
+        done = ortho[:rank]
+        for _ in range(2):
+            block -= (block @ done.conj().T) @ done
+        first = rank
+        for index, v in enumerate(block, start):
+            new = ortho[first:rank]
+            for _ in range(2):
+                v -= (new.conj() @ v) @ new
+            norm = np.vdot(v, v).real ** 0.5
+            if norm > _RANK_TOL:
+                ortho[rank] = v / norm
+                rank += 1
+                kept.append(index)
+                if rank == len(ortho):
+                    return kept  # the kept rows span every row; the rest are dependent
+    return kept
+
+
+def first_restart(rows, kept):
+    """Index of the first row, before the last kept one, that depends on the
+    earlier rows without being zero or a scalar multiple of one of them: the
+    sweep rejects it in a QR and takes the QR again.  None if there is none."""
+    norms = np.linalg.norm(rows, axis=1)
+    for index in sorted(set(range(kept[-1])) - set(kept)):
+        earlier = norms[:index] > 0
+        cosines = np.abs(rows[:index][earlier].conj() @ rows[index]) / (norms[:index][earlier] * norms[index])
+        if norms[index] > 0 and not (cosines > 1 - 1e-12).any():
+            return index
+    return None
+
+
 def test_parity_signs_match_bit_counts():
     rng = np.random.default_rng(7)
     values = np.concatenate([np.arange(1 << 10), rng.integers(0, 1 << 40, size=500)])
@@ -250,7 +307,7 @@ def test_annihilator_matches_reference(n):
 def test_word_matrix_matches_dense_reference_product(n):
     modes = tuple(range(1, n + 1))
     words = list(normal_ordered_words(modes))
-    assert list(_even_words(modes)) == [w for w in words if len(w) % 2 == 0]
+    assert list(even_words(modes)) == [w for w in words if len(w) % 2 == 0]
     # words with repeated modes, such as c_3 c_3^dag, which are not normal-ordered
     atoms = [(mode, creation) for mode in modes for creation in (False, True)]
     words += [(a, b) for a in atoms for b in atoms]
@@ -279,10 +336,35 @@ def test_enumeration_matches_sequential_sweep(n, modes):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n, modes", ENUMERATIONS + [(6, tuple(range(1, 7))), (7, tuple(range(1, 8)))])
+def test_mask_word_actions_match_word_actions(n, modes):
+    want = _word_actions(n, list(even_words(modes)))
+    got = _even_word_actions(n, modes)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("n, modes", ENUMERATIONS)
+def test_enumeration_takes_one_qr_per_offset_class(n, modes, monkeypatch):
+    # the only dependent candidates before a class is full are the adjoint
+    # duplicates, which the sweep drops before its QR
+    calls = []
+    qr = np.linalg.qr
+
+    def counted_qr(a, mode):
+        calls.append(a.shape)
+        return qr(a, mode)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    enumerate_physical_observables(n, modes)
+    offsets = {word_offset(n, word) for word in even_words(modes)}
+    assert len(calls) == len(offsets)
+
+
 @pytest.mark.parametrize("seed, dim, count", [(101, 24, 220), (102, 60, 240), (103, 200, 300)])
 def test_blocked_sweep_matches_sequential_on_planted_dependencies(seed, dim, count):
     rng = np.random.default_rng(seed)
-    assert count > 3 * _SWEEP_BLOCK
     candidates = []
     for _ in range(count):
         kind = rng.integers(4) if candidates else 0
@@ -298,6 +380,32 @@ def test_blocked_sweep_matches_sequential_on_planted_dependencies(seed, dim, cou
         candidates.append(v)
     expected = sequential_kept_indices(candidates)
     assert len(expected) < count
+    assert first_restart(np.array(candidates), expected) is not None
+    assert blocked_kept_indices(np.array(candidates)) == expected
+    assert _independent_subset(np.array(candidates)) == expected
+
+
+@pytest.mark.parametrize("seed, dim, count", [(111, 6, 40), (112, 24, 60), (113, 80, 60)])
+def test_sweep_matches_oracles_on_copies_multiples_and_zero_rows(seed, dim, count):
+    rng = np.random.default_rng(seed)
+    candidates = [np.zeros(dim, dtype=complex)]
+    for _ in range(count):
+        kind = rng.integers(5)
+        if kind == 0:
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        elif kind == 1:
+            v = np.zeros(dim, dtype=complex)
+        elif kind == 2:
+            v = candidates[rng.integers(len(candidates))].copy()
+        elif kind == 3:
+            v = rng.choice([-1, 1j, -1j, 2]) * candidates[rng.integers(len(candidates))]
+        else:
+            # a combination of two earlier candidates, which the QR rejects
+            v = sum(rng.standard_normal() * candidates[p] for p in rng.integers(len(candidates), size=2))
+        candidates.append(v)
+    expected = sequential_kept_indices(candidates)
+    assert len(expected) < count
+    assert blocked_kept_indices(np.array(candidates)) == expected
     assert _independent_subset(np.array(candidates)) == expected
 
 

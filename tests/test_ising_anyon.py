@@ -3,6 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from bmvsim import ising_anyon
 from bmvsim.ising_anyon import (
     CHARGES,
     P_LEFT_TO_RIGHT,
@@ -18,6 +19,7 @@ from bmvsim.ising_anyon import (
     initial_protocol_state,
     local_x,
     matter_observable_set,
+    pair_observable_sets,
     partition_matrix,
     run_anyon_protocol,
     sector_index,
@@ -416,6 +418,25 @@ def test_protocol_correlations_and_witness():
     assert trace.summary["initial_report"].uncorrelated
     assert trace.report.entangled
     assert all(abs(p - 1.0) <= EPS for p in trace.summary["mediator_purities"])
+
+
+def test_protocol_observable_sets_are_shared_read_only_constants(monkeypatch):
+    q1, q2 = pair_observable_sets()
+    assert pair_observable_sets() is pair_observable_sets()
+    for got, sector in ((q1, 1), (q2, 2)):
+        assert got.subsystem == f"Q{sector}"
+        assert np.array_equal(got.matrices, matter_observable_set(sector).matrices)
+        assert not got.matrices.flags.writeable
+
+    def refuse(*args):
+        raise AssertionError("the protocol built its observable sets again")
+
+    monkeypatch.setattr(ising_anyon, "matter_observable_set", refuse)
+    monkeypatch.setattr(ising_anyon, "embedded_z", refuse)
+    trace = run_anyon_protocol()
+    assert trace.report.entangled
+    assert trace.report.correlations.expect_product.shape == (len(q1), len(q2))
+    assert trace.summary["initial_report"].uncorrelated
 
 
 def test_matter_observable_set_shapes():

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from bmvsim import bit_antibit, fermion_ssr
+from bmvsim import bit_antibit, fermion_ssr, ising_anyon
 from bmvsim.acceptance import RUNNERS
 from bmvsim.bit_antibit import SystemSignature, run_bit_antibit_protocol, validate_state
 from bmvsim.fermion_ssr import (
@@ -232,7 +232,7 @@ def _near_tie_cases(dim_a, dim_b):
 
 PROTOCOL_SETS = {
     "fermion": fermion_ssr.pair_observable_sets,
-    "anyon": lambda: (matter_observable_set(1), matter_observable_set(2)),
+    "anyon": ising_anyon.pair_observable_sets,
     "bitantibit": bit_antibit.pair_observable_sets,
 }
 
@@ -293,6 +293,18 @@ def test_empty_observable_set_is_uncorrelated_with_no_rows():
         assert table_rows(report.correlations) == []
         assert report.violating_pair is None
         assert report.max_violation == 0.0
+
+
+def test_observable_set_of_another_dimension_raises_bad_partition():
+    # 16 matrices of 4 x 4 hold as many entries as one 16 x 16 matrix, and
+    # must not be read as one (on this basis state that reading gives a
+    # real table and the verdict uncorrelated)
+    rho = dyad(np.eye(16)[0])
+    small = LocalObservableSet("small", hermitian_basis(4))
+    full = LocalObservableSet("full", [tensor(h, np.eye(4)) for h in hermitian_basis(4)])
+    for sets in ((small, full), (full, small)):
+        with pytest.raises(ValueError, match="bad-partition"):
+            uncorrelated_test(rho, *sets)
 
 
 def test_non_real_product_expectation_raises():
