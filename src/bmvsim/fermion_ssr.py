@@ -17,27 +17,25 @@ Hermitian operators whose every monomial in creators/annihilators has even
 degree.  For a full k-mode register the space of such observables has real
 dimension 2^(2k-1), half of the unconstrained 2^(2k).
 
-Discarding a mode uses the fermionic partial trace: a dyad
+Discarding modes uses the fermionic partial trace: a dyad
 |s_1..s_n><r_1..r_n| survives the trace of mode j only when s_j == r_j, picks
 up the reordering sign (-1)^(sum_{k>j} s_j s_k + r_j r_k), and drops slot j.
-Tracing several modes is performed highest index first so no re-indexing of
-the remaining trace targets is needed; on parity-even operators the result is
-order independent (covered by the test suite).  The sign is a product of a
-ket sign and a bra sign, and ``_trace_signs`` gives that sign for every basis
-index; it is the one place the rule is written.  The protocol uses the
-pure-state form of the trace, ``statecore.reduce_pure`` of the state vector
-times those signs, and forms no dyad.  Its swap gates are signed basis-index
-permutations applied to the state vector.
+Modes are traced highest index first, so k runs over the modes still present;
+on parity-even operators the order does not matter (covered by the test
+suite).  The sign is a ket sign times a bra sign, and ``_trace_signs`` gives
+it for every basis index; it is the one place the rule is written.  The trace
+is thus ``statecore.partial_trace`` of the signed operator, or for the
+protocol's pure states ``statecore.reduce_pure`` of the signed state vector.
+The swap gates are signed basis-index permutations of the state vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from .statecore import EPS, dagger, reduce_pure
+from .statecore import EPS, dagger, partial_trace, reduce_pure
 from .witness import LocalObservableSet, ProtocolTrace, run_protocol
 
 # Tolerance of the independence test while enumerating observables: a candidate
@@ -133,18 +131,6 @@ def creator_matrix(n: int, j: int) -> np.ndarray:
 # physical (parity-even) observables
 
 
-@dataclass(frozen=True)
-class FermionObservableBasis:
-    """Maximal independent set of parity-even Hermitian observables on a mode subset."""
-
-    n_modes: int
-    modes: tuple[int, ...]
-    matrices: tuple[np.ndarray, ...]
-
-    def __len__(self) -> int:
-        return len(self.matrices)
-
-
 def _even_word_actions(n: int, modes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """``_word_actions`` of every even normal-ordered word on ``modes``, from bit masks.
 
@@ -193,8 +179,8 @@ def _independent_subset(rows: np.ndarray) -> list[int]:
     return kept
 
 
-def enumerate_physical_observables(n: int, modes) -> FermionObservableBasis:
-    """Independent Hermitian parity-even observables supported on ``modes``.
+def enumerate_physical_observables(n: int, modes) -> np.ndarray:
+    """Independent Hermitian parity-even observables on ``modes``, as a (count, 2^n, 2^n) stack.
 
     The candidates are the even monomials in the subset's creators and
     annihilators, Hermitized as m + m^dag and i(m - m^dag).  A deterministic
@@ -228,7 +214,7 @@ def enumerate_physical_observables(n: int, modes) -> FermionObservableBasis:
     rows, offsets = rows.reshape(-1, 1 << n)[present], np.repeat(offsets, 2)[present]
     classes = [np.flatnonzero(offsets == offset) for offset in np.unique(offsets)]
     kept = np.sort(np.concatenate([c[_independent_subset(rows[c])] for c in classes]))
-    return FermionObservableBasis(n, modes, tuple(_scatter(n, offsets[kept], rows[kept])))
+    return _scatter(n, offsets[kept], rows[kept])
 
 
 def count_scaling_check(k_max: int) -> list[tuple[int, int, int, bool]]:
@@ -243,11 +229,6 @@ def count_scaling_check(k_max: int) -> list[tuple[int, int, int, bool]]:
     return rows
 
 
-def parity_matrix(n: int) -> np.ndarray:
-    """(-1)^(total occupation), the superselection grading operator."""
-    return np.diag(_parity_signs(np.arange(1 << n)).astype(complex))
-
-
 # ---------------------------------------------------------------------------
 # fermionic partial trace
 
@@ -255,7 +236,7 @@ def parity_matrix(n: int) -> np.ndarray:
 def _trace_signs(n: int, traced) -> np.ndarray:
     """Reordering sign of every basis ket when the ``traced`` modes are
     discarded highest index first: dropping mode j multiplies by
-    (-1)^(s_j * number of occupied modes above j that are still present)."""
+    (-1)^(s_j * number of occupied modes above j that are not traced)."""
     traced = set(int(j) for j in traced)
     idx = np.arange(1 << n)
     signs = np.ones(1 << n)
@@ -265,42 +246,20 @@ def _trace_signs(n: int, traced) -> np.ndarray:
     return signs
 
 
-def fermionic_partial_trace(m: np.ndarray, n: int, traced_mode: int) -> np.ndarray:
-    """Discard one fermionic mode of an n-mode operator.
-
-    Dyads with s_j != r_j vanish; surviving dyads acquire the sign
-    (-1)^(sum_{k>j} (s_j s_k + r_j r_k)) and lose slot j.  The trace of the
-    result equals the trace of the input.
-    """
-    j = int(traced_mode)
-    if not 1 <= j <= n:
-        raise ValueError(f"bad-mode: mode {j} outside 1..{n}")
-    dim = 1 << n
+def fermionic_partial_trace(m: np.ndarray, n: int, traced) -> np.ndarray:
+    """Discard the ``traced`` modes of an n-mode operator: the plain partial
+    trace of ``m`` with each row and column multiplied by its ``_trace_signs``
+    sign.  A leading factor of dimension 1 is always kept, so tracing every
+    mode leaves the 1 x 1 trace."""
+    traced = set(int(j) for j in traced)
+    if not traced <= set(range(1, n + 1)):
+        raise ValueError(f"bad-mode: traced modes {sorted(traced)} outside 1..{n}")
     m = np.asarray(m, dtype=complex)
-    if m.shape != (dim, dim):
+    if m.shape != (1 << n, 1 << n):
         raise ValueError("bad-partition: operator dimension does not match mode count")
-    low_bits = n - j
-    low_mask = (1 << low_bits) - 1
-    idx = np.arange(dim)
-    occ = (idx >> low_bits) & 1
-    signs = _trace_signs(n, (j,))
-    dropped = ((idx >> (low_bits + 1)) << low_bits) | (idx & low_mask)
-    out = np.zeros((dim // 2, dim // 2), dtype=complex)
-    for b in (0, 1):
-        sel = np.where(occ == b)[0]
-        block = m[np.ix_(sel, sel)] * np.outer(signs[sel], signs[sel])
-        out[np.ix_(dropped[sel], dropped[sel])] += block
-    return out
-
-
-def fermionic_partial_trace_modes(m: np.ndarray, n: int, modes) -> np.ndarray:
-    """Discard several modes, highest index first (the fixed iteration order)."""
-    remaining = n
-    out = np.asarray(m, dtype=complex)
-    for j in sorted(set(int(x) for x in modes), reverse=True):
-        out = fermionic_partial_trace(out, remaining, j)
-        remaining -= 1
-    return out
+    s = _trace_signs(n, traced)
+    keep = [0] + [j for j in range(1, n + 1) if j not in traced]
+    return partial_trace(s[:, None] * m * s, [1] + [2] * n, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +304,8 @@ def pair_observable_sets() -> tuple[LocalObservableSet, LocalObservableSet]:
     enumerated once per process.  The stacks are read-only, so every run
     shares them."""
     return (
-        LocalObservableSet("Q1", enumerate_physical_observables(4, (1, 2)).matrices),
-        LocalObservableSet("Q2", enumerate_physical_observables(4, (3, 4)).matrices),
+        LocalObservableSet("Q1", enumerate_physical_observables(4, (1, 2))),
+        LocalObservableSet("Q2", enumerate_physical_observables(4, (3, 4))),
     )
 
 
@@ -385,8 +344,8 @@ def run_fermion_protocol(eps: float = EPS) -> ProtocolTrace:
         (swap(a, b) for a, b in ((2, 3), (3, 4), (2, 3))),
         reduce,
         lambda matter: (
-            fermionic_partial_trace_modes(matter, 4, (3, 4)),
-            fermionic_partial_trace_modes(matter, 4, (1, 2)),
+            fermionic_partial_trace(matter, 4, (3, 4)),
+            fermionic_partial_trace(matter, 4, (1, 2)),
         ),
         (hopping_observable(2, 1, 2), hopping_observable(4, 1, 2), hopping_observable(4, 3, 4)),
         pair_observable_sets(),

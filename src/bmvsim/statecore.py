@@ -51,13 +51,6 @@ def is_hermitian(m: np.ndarray, eps: float = EPS) -> bool:
     return m.ndim == 2 and m.shape[0] == m.shape[1] and mat_close(m, dagger(m), eps)
 
 
-def is_unitary(m: np.ndarray, eps: float = EPS) -> bool:
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return mat_close(m @ dagger(m), np.eye(m.shape[0]), eps)
-
-
 def is_density(m: np.ndarray, eps: float = EPS) -> bool:
     """Hermitian, unit trace, and no eigenvalue below -eps."""
     m = np.asarray(m)
@@ -175,8 +168,3 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + dagger(g)) / 2
 
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))

@@ -110,9 +110,9 @@ def test_criterion_4_counting_and_microcausality():
     rows = count_scaling_check(4)
     counts_ok = [r[1] for r in rows] == [2, 8, 32, 128] and all(r[3] for r in rows)
     sets = {
-        "Q1": enumerate_physical_observables(5, (1, 2)).matrices,
-        "M": enumerate_physical_observables(5, (3,)).matrices,
-        "Q2": enumerate_physical_observables(5, (4, 5)).matrices,
+        "Q1": enumerate_physical_observables(5, (1, 2)),
+        "M": enumerate_physical_observables(5, (3,)),
+        "Q2": enumerate_physical_observables(5, (4, 5)),
     }
     worst = max(
         float(np.max(np.abs(commutator(ma, mb))))

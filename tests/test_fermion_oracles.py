@@ -1,6 +1,6 @@
 """Reference code for the fermionic kernels: the fast kernels are checked
-against it here, and the symbolic normal-ordering oracle and the swap
-matrices are shared with test_fermion_ssr."""
+against it here, and the symbolic normal-ordering oracle, the swap matrices
+and the parity operator are shared with test_fermion_ssr."""
 
 from dataclasses import dataclass
 from functools import cache
@@ -20,7 +20,6 @@ from bmvsim.fermion_ssr import (
     creator_matrix,
     enumerate_physical_observables,
     fermionic_partial_trace,
-    fermionic_partial_trace_modes,
     fermionic_swap,
     run_fermion_protocol,
     vacuum_state,
@@ -131,6 +130,31 @@ def swap_matrix(n: int, i: int, j: int) -> np.ndarray:
     m = np.zeros((1 << n, 1 << n), dtype=complex)
     m[np.arange(1 << n), perm] = signs
     return m
+
+
+def parity_matrix(n: int) -> np.ndarray:
+    """(-1)^(total occupation), the superselection grading operator."""
+    return np.diag(_parity_signs(np.arange(1 << n)).astype(complex))
+
+
+def reference_partial_trace(m, n, traced):
+    """Fermionic partial trace by the rule of the fermion_ssr docstring, one
+    mode at a time, highest index first: a dyad |s><r| with s_j != r_j
+    vanishes, one with s_j == r_j takes the sign (-1)^(s_j s_k + r_j r_k)
+    summed over the modes k > j still present, and loses slot j."""
+    out = np.asarray(m, dtype=complex)
+    for j in sorted(set(traced), reverse=True):
+        low = n - j  # the modes after j are the low bits
+        idx = np.arange(1 << n)
+        occupied = (idx >> low) & 1
+        signs = np.array([(-1.0) ** (((i >> low) & 1) * bin(i % (1 << low)).count("1")) for i in idx])
+        dropped = ((idx >> (low + 1)) << low) | (idx % (1 << low))
+        traced_out = np.zeros((1 << (n - 1), 1 << (n - 1)), dtype=complex)
+        for b in (0, 1):
+            sel = np.flatnonzero(occupied == b)
+            traced_out[np.ix_(dropped[sel], dropped[sel])] += out[np.ix_(sel, sel)] * np.outer(signs[sel], signs[sel])
+        out, n = traced_out, n - 1
+    return out
 
 
 def apply_monomials_to_vacuum(n: int, monomials) -> np.ndarray:
@@ -330,7 +354,7 @@ def test_candidates_lie_on_their_word_offset(n, modes):
 def test_enumeration_matches_sequential_sweep(n, modes):
     candidates = [m for _, m in reference_candidates(n, modes)]
     expected = [candidates[i] for i in sequential_kept_indices(candidates)]
-    got = enumerate_physical_observables(n, modes).matrices
+    got = enumerate_physical_observables(n, modes)
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
         assert np.array_equal(a, b)
@@ -433,7 +457,7 @@ def test_pure_trace_matches_dense_fermionic_trace(n):
             for traced in combinations(modes, size):
                 keep = [m - 1 for m in modes if m not in traced]
                 pure = reduce_pure(_trace_signs(n, traced) * psi, [2] * n, keep)
-                dense = fermionic_partial_trace_modes(dyad(psi), n, traced)
+                dense = reference_partial_trace(dyad(psi), n, traced)
                 assert mat_close(pure, dense, 1e-14), traced
 
 
@@ -442,6 +466,21 @@ def _assert_same_bits(a, b):
         x, y = part(np.asarray(a)), part(np.asarray(b))
         assert x.shape == y.shape
         assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_partial_trace_matches_reference_bit_for_bit(n):
+    # arbitrary operators, parity-odd parts included, with half their entries
+    # zeros of either sign, on every traced subset down to all the modes
+    rng = np.random.default_rng(700 + n)
+    dim = 1 << n
+    for _ in range(10):
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        zeros = rng.random((dim, dim)) < 0.5
+        m[zeros] = rng.choice([0.0, -0.0], size=zeros.sum()) + rng.choice([0.0, -0.0], size=zeros.sum()) * 1j
+        for size in range(1, n + 1):
+            for traced in combinations(range(1, n + 1), size):
+                _assert_same_bits(fermionic_partial_trace(m, n, traced), reference_partial_trace(m, n, traced))
 
 
 def test_protocol_checkpoints_match_dense_oracle_bit_for_bit():
@@ -456,5 +495,5 @@ def test_protocol_checkpoints_match_dense_oracle_bit_for_bit():
     for step, state in zip(steps, states):
         rho = dyad(state)
         _assert_same_bits(step.state, state)
-        _assert_same_bits(step.mediator, fermionic_partial_trace_modes(rho, n, (1, 2, 4, 5)))
-        _assert_same_bits(step.matter, fermionic_partial_trace(rho, n, 3))
+        _assert_same_bits(step.mediator, reference_partial_trace(rho, n, (1, 2, 4, 5)))
+        _assert_same_bits(step.matter, reference_partial_trace(rho, n, (3,)))

@@ -10,11 +10,9 @@ from bmvsim.fermion_ssr import (
     creator_matrix,
     enumerate_physical_observables,
     fermionic_partial_trace,
-    fermionic_partial_trace_modes,
     fermionic_swap,
     hopping_observable,
     pair_observable_sets,
-    parity_matrix,
     run_fermion_protocol,
     vacuum_state,
     word_matrix,
@@ -25,6 +23,7 @@ from test_fermion_oracles import (
     apply_monomials_to_vacuum,
     basis_index,
     occupations,
+    parity_matrix,
     swap_matrix,
 )
 
@@ -96,9 +95,9 @@ def test_single_mode_observables_span():
     eye = np.eye(32, dtype=complex)
     number_balance = word_matrix(5, ((3, False), (3, True))) - word_matrix(5, ((3, True), (3, False)))
     for target in (eye, number_balance):
-        ok, _ = in_span(target, basis.matrices)
+        ok, _ = in_span(target, basis)
         assert ok
-    for m in basis.matrices:
+    for m in basis:
         ok, _ = in_span(m, [eye, number_balance])
         assert ok
 
@@ -114,7 +113,7 @@ def is_parity_even(m: np.ndarray, n: int, eps: float = EPS) -> bool:
 
 def test_observables_are_physical():
     basis = enumerate_physical_observables(3, (1, 3))
-    for m in basis.matrices:
+    for m in basis:
         assert is_hermitian(m)
         assert is_parity_even(m, 3)
 
@@ -122,12 +121,12 @@ def test_observables_are_physical():
 def test_contiguous_subset_observables_embed_as_identity_elsewhere():
     # even words on a contiguous register have no sign strings reaching out,
     # so the matrix factorizes against the identity on the other modes
-    lead = enumerate_physical_observables(5, (1, 2)).matrices
-    local = enumerate_physical_observables(2, (1, 2)).matrices
+    lead = enumerate_physical_observables(5, (1, 2))
+    local = enumerate_physical_observables(2, (1, 2))
     assert len(lead) == len(local)
     for big, small in zip(lead, local):
         assert mat_close(big, np.kron(small, np.eye(8)), EPS)
-    trail = enumerate_physical_observables(5, (4, 5)).matrices
+    trail = enumerate_physical_observables(5, (4, 5))
     for big, small in zip(trail, local):
         assert mat_close(big, np.kron(np.eye(8), small), EPS)
 
@@ -147,9 +146,9 @@ def test_count_scaling_table():
 
 def test_microcausality():
     sets = {
-        "Q1": enumerate_physical_observables(5, (1, 2)).matrices,
-        "M": enumerate_physical_observables(5, (3,)).matrices,
-        "Q2": enumerate_physical_observables(5, (4, 5)).matrices,
+        "Q1": enumerate_physical_observables(5, (1, 2)),
+        "M": enumerate_physical_observables(5, (3,)),
+        "Q2": enumerate_physical_observables(5, (4, 5)),
     }
     for a, b in (("Q1", "M"), ("Q1", "Q2"), ("M", "Q2")):
         for ma in sets[a]:
@@ -163,7 +162,7 @@ def _initial_state():
 
 
 def test_trace_of_initial_state_is_pure_product():
-    reduced = fermionic_partial_trace(dyad(_initial_state()), 5, 3)
+    reduced = fermionic_partial_trace(dyad(_initial_state()), 5, (3,))
     c = {j: creator_matrix(4, j) for j in range(1, 5)}
     expected = 0.5 * ((c[1] + c[2]) @ (c[3] + c[4]) @ vacuum_state(4))
     assert mat_close(reduced, dyad(expected))
@@ -178,12 +177,18 @@ def test_fermionic_trace_preserves_trace():
         p = parity_matrix(n)
         even = (herm + p @ herm @ p) / 2
         j = int(rng.integers(1, n + 1))
-        assert abs(np.trace(fermionic_partial_trace(even, n, j)) - np.trace(even)) <= 1e-9
+        assert abs(np.trace(fermionic_partial_trace(even, n, (j,))) - np.trace(even)) <= 1e-9
 
 
 def test_fermionic_trace_dimension_error():
     with pytest.raises(ValueError, match="bad-partition"):
-        fermionic_partial_trace(np.eye(8), 4, 1)
+        fermionic_partial_trace(np.eye(8), 4, (1,))
+
+
+@pytest.mark.parametrize("mode", [0, 5])
+def test_fermionic_trace_bad_mode(mode):
+    with pytest.raises(ValueError, match="bad-mode"):
+        fermionic_partial_trace(np.eye(16), 4, (mode,))
 
 
 def test_multimode_trace_order_independent_on_even_operators():
@@ -193,8 +198,8 @@ def test_multimode_trace_order_independent_on_even_operators():
     for _ in range(25):
         g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         even = (g + p @ g @ p) / 2
-        hi_first = fermionic_partial_trace_modes(even, n, (2, 4))
-        lo_first = fermionic_partial_trace(fermionic_partial_trace(even, n, 2), n - 1, 3)
+        hi_first = fermionic_partial_trace(even, n, (2, 4))
+        lo_first = fermionic_partial_trace(fermionic_partial_trace(even, n, (2,)), n - 1, (3,))
         assert mat_close(hi_first, lo_first, 1e-9)
 
 
@@ -203,7 +208,7 @@ def _trace_in_order(m: np.ndarray, n: int, order) -> np.ndarray:
     index is its place among the modes still present."""
     remaining = list(range(1, n + 1))
     for j in order:
-        m = fermionic_partial_trace(m, len(remaining), remaining.index(j) + 1)
+        m = fermionic_partial_trace(m, len(remaining), (remaining.index(j) + 1,))
         remaining.remove(j)
     return m
 
@@ -223,7 +228,7 @@ def test_trace_is_order_independent_on_random_even_operators(n):
         for op in ((g + p @ g @ p) / 2, dyad(psi / np.linalg.norm(psi))):
             for size in range(1, n + 1):
                 for traced in combinations(range(1, n + 1), size):
-                    fixed = fermionic_partial_trace_modes(op, n, traced)
+                    fixed = fermionic_partial_trace(op, n, traced)
                     for order in permutations(traced):
                         assert mat_close(_trace_in_order(op, n, order), fixed, 1e-12), (traced, order)
 
@@ -232,7 +237,7 @@ def test_trace_all_modes_equals_full_trace():
     rng = np.random.default_rng(53)
     n = 4
     g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    total = fermionic_partial_trace_modes(g, n, (1, 2, 3, 4))
+    total = fermionic_partial_trace(g, n, (1, 2, 3, 4))
     assert total.shape == (1, 1)
     assert abs(total[0, 0] - np.trace(g)) <= 1e-9
 
@@ -319,7 +324,7 @@ def test_protocol_observable_sets_are_shared_read_only_constants(monkeypatch):
     q1, q2 = pair_observable_sets()
     assert pair_observable_sets() is pair_observable_sets()
     for got, modes in ((q1, (1, 2)), (q2, (3, 4))):
-        want = np.array(enumerate_physical_observables(4, modes).matrices)
+        want = enumerate_physical_observables(4, modes)
         assert np.array_equal(got.matrices, want)
         assert not got.matrices.flags.writeable
 

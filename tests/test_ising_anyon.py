@@ -31,7 +31,8 @@ from bmvsim.ising_anyon import (
     unitary_v_q1m,
     unitary_w_mq2,
 )
-from bmvsim.statecore import EPS, commutator, dagger, dyad, is_unitary, mat_close, random_state
+from bmvsim.statecore import EPS, commutator, dagger, dyad, mat_close, random_state
+from test_statecore import is_unitary, random_unitary
 
 SQ2 = np.sqrt(2.0)
 SHAPES = (Partition.CENTER, Partition.LEFT, Partition.RIGHT)
@@ -382,8 +383,6 @@ def test_embedded_observables_do_not_commute():
 def test_trace_mediator_commutes_with_matter_unitaries():
     # a matter-sector unitary: block diagonal in the coupling label t
     rng = np.random.default_rng(83)
-    from bmvsim.statecore import random_unitary
-
     idx_t0 = [i for i, (_, _, t) in enumerate(SECTOR_BASIS) if t == 0]
     idx_t2 = [i for i, (_, _, t) in enumerate(SECTOR_BASIS) if t == 2]
     for _ in range(20):

@@ -12,12 +12,10 @@ from bmvsim.statecore import (
     in_span,
     is_density,
     is_hermitian,
-    is_unitary,
     mat_close,
     partial_trace,
     random_hermitian,
     random_state,
-    random_unitary,
     reduce_pure,
     tensor,
 )
@@ -26,6 +24,19 @@ I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def is_unitary(m: np.ndarray, eps: float = EPS) -> bool:
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return False
+    return mat_close(m @ dagger(m), np.eye(m.shape[0]), eps)
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def test_tensor_identity():

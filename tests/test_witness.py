@@ -85,8 +85,8 @@ def _fermion_states():
 
 
 def _fermion_sets():
-    a = LocalObservableSet("Q1", enumerate_physical_observables(4, (1, 2)).matrices)
-    b = LocalObservableSet("Q2", enumerate_physical_observables(4, (3, 4)).matrices)
+    a = LocalObservableSet("Q1", enumerate_physical_observables(4, (1, 2)))
+    b = LocalObservableSet("Q2", enumerate_physical_observables(4, (3, 4)))
     return a, b
 
 
