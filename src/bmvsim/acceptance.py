@@ -9,7 +9,6 @@ crashes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterator, NamedTuple
 
@@ -186,38 +185,23 @@ def model_rows(trace: ProtocolTrace) -> Iterator[Row]:
     yield Row("matter_purity", s["matter_purity"], 1.0)
 
 
-@dataclass
-class Check:
-    name: str
-    passed: bool
-    expected: str
-    actual: str
-
-
-def model_checks(trace: ProtocolTrace, eps: float = EPS) -> list[Check]:
-    """Pass/fail rows comparing one protocol run against its pinned values."""
+def model_checks(trace: ProtocolTrace, eps: float = EPS) -> list[dict]:
+    """The ``expected`` rows of the run report: each pinned value of one
+    protocol run, as it is shown, and whether the run meets it."""
     checks = []
     for row in model_rows(trace):
         if isinstance(row.pinned, bool):
-            shown = str(row.pinned), str(row.computed)
+            expected, actual = str(row.pinned), str(row.computed)
         elif isinstance(row.pinned, np.ndarray):
-            shown = "deviation 0", f"deviation {row.deviation():.3g}"
+            expected, actual = "deviation 0", f"deviation {row.deviation():.3g}"
         else:
-            shown = f"{row.pinned:g}", f"{row.computed:.12g}"
-        checks.append(Check(row.name, row.passes(eps), *shown))
+            expected, actual = f"{row.pinned:g}", f"{row.computed:.12g}"
+        checks.append({"name": row.name, "expected": expected, "actual": actual, "pass": row.passes(eps)})
     return checks
 
 
 # ---------------------------------------------------------------------------
 # the eleven acceptance criteria
-
-
-@dataclass
-class CriterionResult:
-    index: int
-    name: str
-    passed: bool
-    detail: str
 
 
 def _table(ctx: dict, model: str, eps: float) -> dict[str, Row]:
@@ -272,22 +256,30 @@ def _crit_observable_counting(eps, ctx):
     return ok, f"counts {[r[1] for r in rows]}, max cross commutator {worst:.3g}"
 
 
-def nondecomposable_target(n: int = 5) -> np.ndarray:
-    """The pair annihilator + pair creator observable on modes 2 and 3."""
-    return fer.word_matrix(n, ((2, False), (3, False))) + fer.word_matrix(n, ((3, True), (2, True)))
+def nondecomposable_target() -> np.ndarray:
+    """The pair annihilator + pair creator observable on modes 2 and 3 of 5."""
+    return fer.word_matrix(5, ((2, False), (3, False))) + fer.word_matrix(5, ((3, True), (2, True)))
 
 
-def local_product_basis(n: int = 5) -> list[np.ndarray]:
-    """Products of single-mode physical observables of modes 2 and 3."""
-    b2 = fer.enumerate_physical_observables(n, (2,))
-    b3 = fer.enumerate_physical_observables(n, (3,))
+def local_product_basis() -> list[np.ndarray]:
+    """Products of single-mode physical observables of modes 2 and 3 of 5."""
+    b2 = fer.enumerate_physical_observables(5, (2,))
+    b3 = fer.enumerate_physical_observables(5, (3,))
     return [a @ b for a in b2 for b in b3]
 
 
-def _crit_nondecomposability(eps, ctx):
+def span_check(eps: float = EPS) -> tuple[bool, float, bool]:
+    """``(decomposable, residual, passed)`` of the non-decomposable target
+    against the local product span: it passes when the target is out of the
+    span, by more than ``_SPAN_GAP_MIN`` and at the pinned residual.  The
+    verdict of criterion 5 and of the ``tomography`` command."""
     decomposable, residual = in_span(nondecomposable_target(), local_product_basis(), eps)
     pinned = abs(residual - EXPECTED_SPAN_RESIDUAL) <= _SPAN_PIN_TOL
-    ok = (not decomposable) and residual > _SPAN_GAP_MIN and pinned
+    return decomposable, residual, (not decomposable) and residual > _SPAN_GAP_MIN and pinned
+
+
+def _crit_nondecomposability(eps, ctx):
+    _, residual, ok = span_check(eps)
     return ok, f"residual {residual:.12g} (pinned {EXPECTED_SPAN_RESIDUAL})"
 
 
@@ -415,8 +407,9 @@ CRITERIA = (
 )
 
 
-def run_all(eps: float = EPS) -> list[CriterionResult]:
-    """Evaluate all acceptance criteria; exceptions become failed rows."""
+def run_all(eps: float = EPS) -> list[dict]:
+    """The ``criteria`` rows of the verify-all report, one per acceptance
+    criterion; an exception inside a criterion makes a failed row."""
     ctx: dict = {}
     results = []
     for index, name, fn in CRITERIA:
@@ -424,5 +417,5 @@ def run_all(eps: float = EPS) -> list[CriterionResult]:
             passed, detail = fn(eps, ctx)
         except Exception as exc:  # tolerance overrides may break invariant gates
             passed, detail = False, f"error: {exc}"
-        results.append(CriterionResult(index, name, bool(passed), detail))
+        results.append({"index": index, "name": name, "pass": bool(passed), "detail": detail})
     return results

@@ -209,7 +209,6 @@ def run_bit_antibit_protocol(mediator_bits: int = 2, eps: float = EPS) -> Protoc
         eps=eps,
     )
     validities = [validate_state(sig, step.state, eps) for step in trace.steps]
-    trace.summary["mediator_bits"] = k
     trace.summary["validities"] = [flag for flag, _ in validities]
     trace.summary["certificates"] = [cert for _, cert in validities]
     return trace

@@ -10,7 +10,9 @@ indexed by  sum_j s_j * 2^(n-j),  so mode 1 is the most significant bit and
 the vacuum has index 0.  With this ordering the annihilator of mode j carries
 the sign string (-1)^(s_1 + ... + s_{j-1}) over the lower-indexed modes; that
 is the unique matrix representation consistent with the anticommutation
-relations and c_j|vac> = 0.
+relations and c_j|vac> = 0.  ``annihilator_matrix`` writes it in closed form,
+and the matrix of any operator word is the product of those annihilators and
+their transposes, the creators (``word_matrix``).
 
 The parity superselection rule admits as physical observables only the
 Hermitian operators whose every monomial in creators/annihilators has even
@@ -70,49 +72,6 @@ def _parity_signs(values: np.ndarray) -> np.ndarray:
     return signs
 
 
-def _word_actions(n: int, words) -> tuple[np.ndarray, np.ndarray]:
-    """Operator words as ``(offsets, values)``: word w maps |s> to
-    values[w, s] |s ^ offsets[w]>.
-
-    The factors act rightmost first, on all words together, and each flips
-    its mode's bit: a creator needs the mode empty, an annihilator needs it
-    occupied, and both carry the sign (-1)^(occupied modes before theirs).
-    The signs multiply, so the occupations they count are XORed and their
-    parity taken once.  Shorter words are padded on the left with bit 0.
-    """
-    # (bit, its required value, mask of the modes before) per factor, rightmost first
-    slots = np.zeros((max(map(len, words), default=0), 3, len(words), 1), dtype=np.int64)
-    for w, word in enumerate(words):
-        for p, (mode, creation) in enumerate(reversed(word)):
-            if not 1 <= mode <= n:
-                raise ValueError(f"bad-mode: mode {mode} outside 1..{n}")
-            bit = 1 << (n - mode)
-            slots[p, :, w, 0] = bit, 0 if creation else bit, (1 << n) - 2 * bit
-    idx = np.arange(1 << n)
-    offsets = np.zeros((len(words), 1), dtype=np.int64)
-    counted = np.zeros((len(words), 1 << n), dtype=np.int64)
-    alive = np.ones((len(words), 1 << n), dtype=bool)
-    for bit, need, before in slots:
-        current = idx ^ offsets
-        alive &= (current & bit) == need
-        counted ^= current & before
-        offsets ^= bit
-    return offsets[:, 0], np.where(alive, _parity_signs(counted), 0.0)
-
-
-def _scatter(n: int, offsets: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Matrices w with values[w, s] at (s ^ offsets[w], s) and zeros elsewhere."""
-    idx = np.arange(1 << n)
-    m = np.zeros((len(values), 1 << n, 1 << n), dtype=complex)
-    m[np.arange(len(values))[:, None], idx ^ offsets[:, None], idx] = values
-    return m
-
-
-def word_matrix(n: int, word) -> np.ndarray:
-    """Matrix of an operator word, leftmost factor applied last (operator order)."""
-    return _scatter(n, *_word_actions(n, (word,)))[0]
-
-
 def annihilator_matrix(n: int, j: int) -> np.ndarray:
     """Matrix of the annihilator of mode j on n modes.
 
@@ -120,7 +79,24 @@ def annihilator_matrix(n: int, j: int) -> np.ndarray:
     with s_j = 0.  Satisfies c_j^2 = 0 and the canonical anticommutators as
     exact matrix identities.
     """
-    return word_matrix(n, ((j, False),))
+    if not 1 <= j <= n:
+        raise ValueError(f"bad-mode: mode {j} outside 1..{n}")
+    bit = 1 << (n - j)
+    occupied = np.flatnonzero(np.arange(1 << n) & bit)
+    m = np.zeros((1 << n, 1 << n), dtype=complex)
+    m[occupied ^ bit, occupied] = _parity_signs(occupied >> (n - j + 1))
+    return m
+
+
+def word_matrix(n: int, word) -> np.ndarray:
+    """Matrix of an operator word, leftmost factor applied last (operator order):
+    the product of its annihilators and their transposes, the creators, taken
+    in real arithmetic."""
+    m = np.eye(1 << n)
+    for mode, creation in word:
+        a = annihilator_matrix(n, mode).real
+        m = m @ (a.T if creation else a)
+    return m.astype(complex)
 
 
 def creator_matrix(n: int, j: int) -> np.ndarray:
@@ -132,7 +108,8 @@ def creator_matrix(n: int, j: int) -> np.ndarray:
 
 
 def _even_word_actions(n: int, modes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """``_word_actions`` of every even normal-ordered word on ``modes``, from bit masks.
+    """Every even normal-ordered word on ``modes`` as ``(offsets, values)``, from
+    bit masks: word w maps |s> to values[w, s] |s ^ offsets[w]>.
 
     Word w has one base-4 digit dag + 2 ann per mode, modes[0] most significant:
     c^dag over the modes D ascending, then c over B descending, flipping D ^ B
@@ -214,7 +191,10 @@ def enumerate_physical_observables(n: int, modes) -> np.ndarray:
     rows, offsets = rows.reshape(-1, 1 << n)[present], np.repeat(offsets, 2)[present]
     classes = [np.flatnonzero(offsets == offset) for offset in np.unique(offsets)]
     kept = np.sort(np.concatenate([c[_independent_subset(rows[c])] for c in classes]))
-    return _scatter(n, offsets[kept], rows[kept])
+    idx = np.arange(1 << n)
+    matrices = np.zeros((len(kept), 1 << n, 1 << n), dtype=complex)
+    matrices[np.arange(len(kept))[:, None], idx ^ offsets[kept, None], idx] = rows[kept]
+    return matrices
 
 
 def count_scaling_check(k_max: int) -> list[tuple[int, int, int, bool]]:

@@ -237,7 +237,7 @@ def test_packaged_runner_agrees_and_is_fast():
     start = time.monotonic()
     results = run_all(EPS)
     elapsed = time.monotonic() - start
-    assert [r.index for r in results] == list(range(1, 12))
+    assert [r["index"] for r in results] == list(range(1, 12))
     for r in results:
-        assert r.passed, f"verify-all criterion {r.index} ({r.name}): {r.detail}"
+        assert r["pass"], f"verify-all criterion {r['index']} ({r['name']}): {r['detail']}"
     assert elapsed < 5.0, f"verify-all took {elapsed:.2f}s"

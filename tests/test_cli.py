@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from bmvsim import cli
+from bmvsim import acceptance, cli
 from bmvsim.cli import (
     EXIT_IO,
     EXIT_MISMATCH,
@@ -109,6 +109,20 @@ def test_tomography_table(capsys):
     assert report["span_check"]["decomposable"] is False
     assert report["span_check"]["residual"] > 0.1
     assert report["pass"] is True
+
+
+def test_span_residual_off_its_pin_fails_tomography_and_criterion_5(capsys, monkeypatch):
+    # the target is orthogonal to the local product span, so scaling it
+    # scales the residual: 0.05 is out of the span but within _SPAN_GAP_MIN
+    target = acceptance.nondecomposable_target() * (0.05 / acceptance.EXPECTED_SPAN_RESIDUAL)
+    monkeypatch.setattr(acceptance, "nondecomposable_target", lambda: target)
+    code, out, _ = run_cli(capsys, ["tomography", "--format", "json"])
+    report = json.loads(out)
+    assert report["span_check"]["residual"] == pytest.approx(0.05)
+    assert report["span_check"]["decomposable"] is False
+    assert code == EXIT_MISMATCH and report["pass"] is False
+    criterion = acceptance.run_all(EPS)[4]
+    assert criterion["name"] == "non-decomposability" and criterion["pass"] is False
 
 
 def test_tomography_k1(capsys):
