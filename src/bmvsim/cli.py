@@ -2,11 +2,11 @@
 full acceptance suite, emitting deterministic JSON/CSV/text reports.
 
 Exit codes: 0 all expectations met, 1 expectation mismatch, 2 usage error,
-3 I/O error.  The tolerance defaults to 1e-10, may be set by the BMV_EPS
-environment variable, and is overridden by --eps; it must lie in (0, 1e-6].
-Reports contain no timestamps, so identical invocations produce identical
-bytes.  Complex numbers serialize as [re, im] pairs and matrices as
-row-major nested arrays.
+3 I/O error; a crash raises out of ``main``, a traceback and no report.  The
+tolerance defaults to 1e-10, may be set by the BMV_EPS environment variable,
+and is overridden by --eps; it must lie in (0, 1e-6].  Reports contain no
+timestamps, so identical invocations produce identical bytes.  Complex
+numbers serialize as [re, im] pairs and matrices as row-major nested arrays.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
 from functools import cache
 
 import numpy as np
@@ -35,9 +36,9 @@ MODELS = tuple(RUNNERS)
 
 # `run bitantibit --mediator-bits k` costs what its report holds, 2k + 2
 # mediator matrices of 4^k entries.  Peak RSS and wall time per command, json /
-# text, fresh process, median of 5 (3 at k = 9), on a loaded 2-vCPU Xeon:
-# k = 7 55 / 41 MiB, 0.37 / 0.32 s; k = 8 127 / 69 MiB, 0.52 / 0.40 s; k = 9
-# 447 / 195 MiB, 1.11 / 0.43 s.  Above the 30 MiB of the interpreter the json
+# text, fresh process, median of 5 (3 at k = 9), on a 2-vCPU Xeon: k = 7
+# 50 / 40 MiB, 0.28 / 0.25 s; k = 8 108 / 69 MiB, 0.39 / 0.28 s; k = 9
+# 365 / 195 MiB, 0.75 / 0.38 s.  Above the 30 MiB of the interpreter the json
 # peak grows about 4x per k, and the k = 10 json text alone would be about
 # 1 GiB, the whole memory budget: a larger k is rejected before it allocates.
 MAX_MEDIATOR_BITS = 9
@@ -51,11 +52,15 @@ class UsageError(Exception):
 # serialization helpers
 
 
-def _separators(shape: tuple[int, ...], pad: list[str], comma: str) -> tuple[str, list[str]]:
-    """JSON nested lists for a row-major array of ``shape``: the text before
-    its first element and the text after each element.  ``pad[d]`` starts a
-    line d containers deep ("" when compact)."""
+def _separators(shape: tuple[int, ...], level: int | None) -> tuple[str, list[str]]:
+    """JSON nested lists for a row-major array of ``shape``, ``level``
+    containers deep (None: compact): the text before its first element and
+    the text after each element."""
     rank = len(shape)
+    if level is None:
+        comma, pad = ", ", [""] * (rank + 1)
+    else:
+        comma, pad = ",", ["\n" + "  " * (level + depth) for depth in range(rank + 1)]
     # After element i, `closing[i]` axes end: its innermost list, then the next ...
     closing = [0]
     for length in reversed(shape):
@@ -110,11 +115,7 @@ def _array_parts(a, level: int | None = None) -> list[str]:
     rank = a.ndim - 1  # axes outside a row
     values = np.stack((a.real, a.imag), axis=-1)
     rows = values.reshape((-1,) + values.shape[rank:])
-    if level is None:
-        comma, pad = ", ", [""] * (rank + 3)
-    else:
-        comma, pad = ",", ["\n" + "  " * (level + depth) for depth in range(rank + 3)]
-    row_head, row_seps = _separators(rows.shape[1:], pad[rank:], comma)
+    row_head, row_seps = _separators(rows.shape[1:], None if level is None else level + rank)
     texts: dict[bytes, str] = {}
     leaves = []
     for row in rows:
@@ -125,7 +126,7 @@ def _array_parts(a, level: int | None = None) -> list[str]:
             floats = json.dumps(row.reshape(-1).tolist())[1:-1].split(", ")
             text = texts[key] = "".join(_interleave(row_head, floats, row_seps))
         leaves.append(text)
-    head, seps = _separators(a.shape[:rank], pad, comma)
+    head, seps = _separators(a.shape[:rank], level)
     return _interleave(head, leaves, seps)
 
 
@@ -145,11 +146,7 @@ def _table_parts(table: CorrelationTable, level: int | None = None) -> list[str]
     pair = np.arange(na * nb)
     i, j = np.divmod(pair, nb)
     cells = texts[np.stack((i, j, count + i, count + na + j, count + na + nb + pair), axis=1)]
-    if level is None:
-        comma, pad = ", ", [""] * 3
-    else:
-        comma, pad = ",", ["\n" + "  " * (level + depth) for depth in range(3)]
-    head, seps = _separators(cells.shape, pad, comma)
+    head, seps = _separators(cells.shape, level)
     return _interleave(head, cells.ravel().tolist(), seps)
 
 
@@ -230,55 +227,48 @@ def build_verify_report(eps: float) -> dict:
 # rendering
 
 
-def _holds_array(value) -> bool:
-    if isinstance(value, (dict, list, tuple)):
-        return any(map(_holds_array, value.values() if isinstance(value, dict) else value))
-    return isinstance(value, _ARRAYS)
-
-
-def _dump(value, level: int, out: list[str]) -> None:
-    """Append the parts of ``json.dumps(value, indent=2)`` for a value
-    ``level`` containers deep to ``out``, so the text of a large array is
-    built once, by the final join, and not once per enclosing container."""
-    if isinstance(value, _ARRAYS):
-        out.extend(_array_parts(value, level))
-    elif not _holds_array(value):
-        # json escapes newlines in strings: each one it writes starts an indented line
-        out.append(json.dumps(value, indent=2).replace("\n", "\n" + "  " * level))
-    else:
-        is_dict = isinstance(value, dict)
-        pad = "\n" + "  " * (level + 1)
-        sep = "{" if is_dict else "["
-        for key, sub in value.items() if is_dict else enumerate(value):
-            out.append(sep + pad + (json.dumps(key) + ": " if is_dict else ""))
-            _dump(sub, level + 1, out)
-            sep = ","
-        out.append("\n" + "  " * level + ("}" if is_dict else "]"))
+_SLOT = "\0array"  # what json.dumps writes in place of each array
 
 
 def render_json(report: dict) -> str:
-    out: list[str] = []
-    _dump(report, 0, out)
+    """``json.dumps(report, indent=2)`` in one encoder pass that writes a slot
+    in place of each array, then fills the slots with ``_array_parts``."""
+    arrays: list = []
+
+    def slot(value):
+        if not isinstance(value, _ARRAYS):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        arrays.append(value)
+        return _SLOT
+
+    gaps = json.dumps(report, indent=2, default=slot).split(json.dumps(_SLOT))
+    if len(gaps) != len(arrays) + 1:
+        raise ValueError(f"a report string holds the array slot {_SLOT!r}")
+    out = [gaps[0]]
+    for array, gap in zip(arrays, gaps[1:]):
+        # json escapes newlines in strings: the last one it wrote starts the slot's line
+        line = out[-1][out[-1].rfind("\n") + 1 :]
+        out += _array_parts(array, (len(line) - len(line.lstrip(" "))) // 2)
+        out.append(gap)
+    # the encoder's closures form a cycle that keeps `slot`, and so the list, until a gc pass
+    arrays.clear()
     out.append("\n")
     return "".join(out)
 
 
-def _csv_rows(report: dict) -> list[tuple[str, str, str]]:
-    rows: list[tuple[str, str, str]] = []
-
-    def walk(prefix: str, value):
-        if isinstance(value, dict):
-            for key, sub in value.items():
-                walk(f"{prefix}.{key}" if prefix else str(key), sub)
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
-            for i, sub in enumerate(value):
-                walk(f"{prefix}[{i}]", sub)
-        else:
-            text = format_array(value) if isinstance(value, _ARRAYS) else json.dumps(value)
-            rows.append((prefix.split(".")[0], prefix, text))
-
-    walk("", report)
-    return rows
+def _csv_rows(value, prefix: str = "") -> Iterator[tuple[str, str, str]]:
+    """The (section, key, value) rows of a report.  It recurses as a module
+    function: a nested function that calls itself is a reference cycle, which
+    would keep each report's rows alive until a gc pass."""
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            yield from _csv_rows(sub, f"{prefix}.{key}" if prefix else str(key))
+    elif isinstance(value, list) and value and isinstance(value[0], dict):
+        for i, sub in enumerate(value):
+            yield from _csv_rows(sub, f"{prefix}[{i}]")
+    else:
+        text = format_array(value) if isinstance(value, _ARRAYS) else json.dumps(value)
+        yield prefix.split(".")[0], prefix, text
 
 
 def _csv_line(cells) -> str:
@@ -376,33 +366,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate entanglement mediation by locally classical mediators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=sorted(RENDERERS), default="text")
+    report.add_argument("--out", default=None, help="write the report to this path")
+    report.add_argument("--eps", type=float, default=None)
 
-    run = sub.add_parser("run", help="run one mediation protocol and check its expectations")
+    run = sub.add_parser("run", parents=[report],
+                         help="run one mediation protocol and check its expectations")
     run.add_argument("model_pos", nargs="?", choices=MODELS, metavar="model",
                      help="fermion | anyon | bitantibit")
     run.add_argument("--model", choices=MODELS, dest="model_flag")
     run.add_argument("--mediator-bits", type=int, default=None,
                      help=f"mediator register size (bitantibit only, 2 to {MAX_MEDIATOR_BITS}, default 2)")
-    run.add_argument("--format", choices=sorted(RENDERERS), default="text")
-    run.add_argument("--out", default=None, help="write the report to this path")
     run.add_argument("--trace-steps", action="store_true", help="include per-step states")
-    run.add_argument("--eps", type=float, default=None)
 
-    tomo = sub.add_parser("tomography", help="observable counting and the span analyzer")
-    tomo.add_argument("--k-max", type=int, default=4)
-    tomo.add_argument("--format", choices=sorted(RENDERERS), default="text")
-    tomo.add_argument("--out", default=None)
-    tomo.add_argument("--eps", type=float, default=None)
+    tomo = sub.add_parser("tomography", parents=[report], help="observable counting and the span analyzer")
+    tomo.add_argument("--k-max", type=int, default=4, help="largest register size (1 to 5, default 4)")
 
-    verify = sub.add_parser("verify-all", help="run every acceptance criterion")
-    verify.add_argument("--format", choices=sorted(RENDERERS), default="text")
-    verify.add_argument("--out", default=None)
-    verify.add_argument("--eps", type=float, default=None)
-
+    sub.add_parser("verify-all", parents=[report], help="run every acceptance criterion")
     return parser
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> dict:
     if (args.model_pos is None) == (args.model_flag is None):
         raise UsageError("give the model exactly once (positionally or via --model)")
     model = args.model_pos or args.model_flag
@@ -419,44 +404,36 @@ def cmd_run(args) -> int:
             )
         options["mediator_bits"] = args.mediator_bits
     eps = _resolve_eps(args.eps)
-    try:
-        trace = RUNNERS[model](eps=eps, **options)
-        report = build_run_report(trace, eps, args.trace_steps)
-    except ValueError as exc:
-        print(f"expectation failure: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    return _emit(report, args.format, args.out)
+    return build_run_report(RUNNERS[model](eps=eps, **options), eps, args.trace_steps)
 
 
-def cmd_tomography(args) -> int:
+def cmd_tomography(args) -> dict:
     if args.k_max > 5:
         raise UsageError("state space too large: k_max must be at most 5")
     if args.k_max < 1:
         raise UsageError("k_max must be at least 1")
-    eps = _resolve_eps(args.eps)
-    return _emit(build_tomography_report(args.k_max, eps), args.format, args.out)
+    return build_tomography_report(args.k_max, _resolve_eps(args.eps))
 
 
-def cmd_verify_all(args) -> int:
-    eps = _resolve_eps(args.eps)
-    return _emit(build_verify_report(eps), args.format, args.out)
+# Each command checks its own arguments, then the tolerance, and returns its report.
+COMMANDS = {
+    "run": cmd_run,
+    "tomography": cmd_tomography,
+    "verify-all": lambda args: build_verify_report(_resolve_eps(args.eps)),
+}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "tomography":
-            return cmd_tomography(args)
-        return cmd_verify_all(args)
+        report = COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return _emit(report, args.format, args.out)
 
 
 if __name__ == "__main__":

@@ -188,6 +188,25 @@ def test_write_failure_exits_3(capsys, tmp_path):
     assert code == EXIT_IO and "cannot write" in err
 
 
+def test_crash_raises_and_is_not_a_mismatch(capsys, monkeypatch):
+    # a runner that raises is a fault of the program, not of the physics:
+    # it reaches the caller with its traceback, and no report is written
+    def boom(eps, **options):
+        raise ValueError("not-density: planted fault")
+
+    monkeypatch.setitem(cli.RUNNERS, "fermion", boom)
+    with pytest.raises(ValueError, match="planted fault"):
+        main(["run", "fermion"])
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("command", ["run", "tomography", "verify-all"])
+def test_subcommand_help_lists_report_flags(capsys, command):
+    code, out, _ = run_cli(capsys, [command, "--help"])
+    assert code == EXIT_OK
+    assert all(flag in out for flag in ("--format", "--out", "--eps", "write the report to this path"))
+
+
 def test_out_file_round_trip(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, ["run", "fermion", "--format", "json", "--out", str(target)])

@@ -9,8 +9,10 @@ per csv cell and the rows through ``csv.writer``.
 """
 
 import csv
+import gc
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,6 +205,73 @@ def test_correlation_table_planted_values():
     text = cli.format_array(TABLE_CASES["planted"])
     tokens = ("[0, 0, ", "[3, 4, ", "-0.0", "5e-324", "1e+16", "0.3333333333333333", "NaN", "Infinity", "-Infinity")
     assert all(token in text for token in tokens)
+
+
+# ---------------------------------------------------------------------------
+# the json renderer
+
+
+def _planted_report() -> dict:
+    """Arrays at the top level, as list items and in dicts in lists, among
+    empty containers and strings holding line breaks."""
+    rng = np.random.default_rng(7)
+    return {
+        "vector": random_array(rng, (3,)),
+        "matrix": random_array(rng, (2, 2)),
+        "text": "two\nlines\n",
+        "empty": {},
+        "none": [],
+        "items": [random_array(rng, (1,)), TABLE_CASES["random 3x7"], "a\nb", random_array(rng, (2, 1, 3))],
+        "nested": [
+            {"stack": random_array(rng, (2, 2, 2)), "table": TABLE_CASES["empty"], "keys\n": {}},
+            {"rows": [TABLE_CASES["one row"], {"deep": random_array(rng, (4, 4)), "list": []}]},
+            [],
+        ],
+        "last": TABLE_CASES["planted"],
+    }
+
+
+def test_render_json_matches_oracle_on_planted_report():
+    report = _planted_report()
+    assert cli.render_json(report) == oracle_json(report)
+    assert cli.render_json({}) == oracle_json({}) and cli.render_json({"a": []}) == oracle_json({"a": []})
+
+
+@pytest.mark.parametrize("text", [cli._SLOT, 'a"' + cli._SLOT], ids=["slot", "ends in quote and slot"])
+def test_render_json_refuses_a_string_that_reads_as_a_slot(text):
+    # the slot's json text appears in the encoded string, so an array would land there
+    for report in ({"s": text, "a": np.eye(2)}, {"a": np.eye(2), "s": [text]}, {text: 1}):
+        with pytest.raises(ValueError, match="array slot"):
+            cli.render_json(report)
+
+
+def test_render_json_refuses_other_objects():
+    # numpy floats are floats; numpy ints are neither an array nor a json value
+    assert cli.render_json({"x": np.float64(0.5)}) == oracle_json({"x": 0.5})
+    with pytest.raises(TypeError, match="int64"):
+        cli.render_json({"x": np.int64(1)})
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_rendering_leaves_no_cycle_holding_the_report(fmt):
+    # a reference cycle that holds a report's arrays or row texts keeps them
+    # until a gc pass; an in-process client then grows its peak RSS
+    def render_and_drop():
+        report = {"matrix": np.eye(256, dtype=complex), "items": [{"table": TABLE_CASES["random 16x16"]}]}
+        cli.RENDERERS[fmt](report)
+
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        render_and_drop()
+        held = tracemalloc.get_traced_memory()[0]
+        gc.collect()
+        freed_by_gc = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert freed_by_gc < 64 * 1024
 
 
 # ---------------------------------------------------------------------------
