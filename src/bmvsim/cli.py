@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .acceptance import RUNNERS, model_checks, run_all, span_check
-from .fermion_ssr import count_scaling_check
+from .fermion_ssr import MAX_COUNT_MODES, count_scaling_check
 from .ising_anyon import AnyonState
 from .statecore import EPS
 from .witness import CorrelationTable, ProtocolTrace, WitnessReport
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace-steps", action="store_true", help="include per-step states")
 
     tomo = sub.add_parser("tomography", parents=[report], help="observable counting and the span analyzer")
-    tomo.add_argument("--k-max", type=int, default=4, help="largest register size (1 to 5, default 4)")
+    tomo.add_argument("--k-max", type=int, default=4, help=f"largest register size (1 to {MAX_COUNT_MODES}, default 4)")
 
     sub.add_parser("verify-all", parents=[report], help="run every acceptance criterion")
     return parser
@@ -408,8 +408,8 @@ def cmd_run(args) -> dict:
 
 
 def cmd_tomography(args) -> dict:
-    if args.k_max > 5:
-        raise UsageError("state space too large: k_max must be at most 5")
+    if args.k_max > MAX_COUNT_MODES:
+        raise UsageError(f"state space too large: k_max must be at most {MAX_COUNT_MODES}")
     if args.k_max < 1:
         raise UsageError("k_max must be at least 1")
     return build_tomography_report(args.k_max, _resolve_eps(args.eps))

@@ -17,7 +17,7 @@ from bmvsim.cli import (
     build_verify_report,
     main,
 )
-from bmvsim.fermion_ssr import run_fermion_protocol
+from bmvsim.fermion_ssr import MAX_COUNT_MODES, run_fermion_protocol
 from bmvsim.statecore import EPS
 
 
@@ -132,8 +132,18 @@ def test_tomography_k1(capsys):
 
 
 def test_tomography_k_too_large(capsys):
-    code, _, err = run_cli(capsys, ["tomography", "--k-max", "6"])
-    assert code == EXIT_USAGE and "too large" in err
+    code, _, err = run_cli(capsys, ["tomography", "--k-max", str(MAX_COUNT_MODES + 1)])
+    assert code == EXIT_USAGE and "too large" in err and f"at most {MAX_COUNT_MODES}" in err
+
+
+def test_tomography_at_the_cap(capsys):
+    code, out, _ = run_cli(capsys, ["tomography", "--k-max", str(MAX_COUNT_MODES), "--format", "json"])
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert [(r["k"], r["count"]) for r in report["counts"]] == [
+        (k, 1 << (2 * k - 1)) for k in range(1, MAX_COUNT_MODES + 1)
+    ]
+    assert report["pass"] is True
 
 
 def test_verify_all_passes(capsys):

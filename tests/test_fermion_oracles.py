@@ -9,13 +9,17 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from bmvsim import fermion_ssr
 from bmvsim.fermion_ssr import (
+    MAX_COUNT_MODES,
     _RANK_TOL,
     _even_word_actions,
     _independent_subset,
+    _offset_classes,
     _parity_signs,
     _trace_signs,
     annihilator_matrix,
+    count_scaling_check,
     creator_matrix,
     enumerate_physical_observables,
     fermionic_partial_trace,
@@ -426,6 +430,38 @@ def test_enumeration_takes_one_qr_per_offset_class(n, modes, monkeypatch):
     enumerate_physical_observables(n, modes)
     offsets = {word_offset(n, word) for word in even_words(modes)}
     assert len(calls) == len(offsets)
+
+
+def test_counts_match_the_enumeration(monkeypatch):
+    # each offset class's rank is what the enumeration's sweep keeps on that
+    # offset; the sweep visits the classes in ascending offset order too
+    kept_per_class = []
+
+    def recorded(rows):
+        kept = _independent_subset(rows)
+        kept_per_class.append(len(kept))
+        return kept
+
+    monkeypatch.setattr(fermion_ssr, "_independent_subset", recorded)
+    for k, count, _, _ in count_scaling_check(6):
+        kept_per_class.clear()
+        assert count == len(enumerate_physical_observables(k, range(1, k + 1)))
+        if k <= 5:
+            ranks = np.linalg.matrix_rank(_offset_classes(k), tol=_RANK_TOL)
+            assert ranks.tolist() == kept_per_class
+
+
+@pytest.mark.parametrize("k", range(1, MAX_COUNT_MODES + 1))
+def test_count_rank_tolerance_sits_in_a_wide_gap(k):
+    # every singular value is a rounding-size zero or far above _RANK_TOL, so
+    # the count does not hang on the tolerance's exact value
+    values = np.linalg.svd(_offset_classes(k), compute_uv=False)
+    nonzero = values[values > _RANK_TOL]
+    assert not (values[values <= _RANK_TOL] > 1e-12).any(), f"k = {k}: a dropped singular value is not a rounding-size zero"
+    assert nonzero.min() > 1e6 * _RANK_TOL, (
+        f"k = {k}: smallest kept singular value {nonzero.min():.3g} is within six orders of _RANK_TOL"
+    )
+    assert len(nonzero) == 1 << (2 * k - 1)
 
 
 @pytest.mark.parametrize("seed, dim, count", [(101, 24, 220), (102, 60, 240), (103, 200, 300)])

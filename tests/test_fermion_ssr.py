@@ -5,6 +5,7 @@ import pytest
 
 from bmvsim import fermion_ssr
 from bmvsim.fermion_ssr import (
+    MAX_COUNT_MODES,
     annihilator_matrix,
     count_scaling_check,
     creator_matrix,
@@ -141,7 +142,7 @@ def test_count_scaling_table():
         (5, 512, 512, True),
     ]
     with pytest.raises(ValueError, match="bad-mode"):
-        count_scaling_check(6)
+        count_scaling_check(MAX_COUNT_MODES + 1)
 
 
 def test_microcausality():
