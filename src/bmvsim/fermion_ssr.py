@@ -17,11 +17,13 @@ their transposes, the creators (``word_matrix``).
 The parity superselection rule admits as physical observables only the
 Hermitian operators whose every monomial in creators/annihilators has even
 degree.  For a full k-mode register the space of such observables has real
-dimension 2^(2k-1), half of the unconstrained 2^(2k).  ``count_scaling_check``
-counts it without building a matrix: the Hermitized words of one XOR offset
-form a (2^(k+1), 2^k) real matrix, and one stacked ``matrix_rank`` over the
-2^(k-1) offsets gives the count.  ``enumerate_physical_observables`` builds
-the observables themselves, for the protocol's observable sets.
+dimension 2^(2k-1), half of the unconstrained 2^(2k).  The observables are
+picked by exact index arithmetic, one normal-ordered word per adjoint pair
+(``_candidate_rows``): ``enumerate_physical_observables`` builds them, for the
+protocol's observable sets.  ``count_scaling_check`` counts them without
+building a matrix: the rows of one XOR offset form a square (2^k, 2^k) real
+matrix, and one stacked ``matrix_rank`` over the 2^(k-1) offsets gives the
+count and certifies that the picked words are independent.
 
 Discarding modes uses the fermionic partial trace: a dyad
 |s_1..s_n><r_1..r_n| survives the trace of mode j only when s_j == r_j, picks
@@ -44,22 +46,18 @@ import numpy as np
 from .statecore import EPS, dagger, partial_trace, reduce_pure
 from .witness import LocalObservableSet, ProtocolTrace, run_protocol
 
-# Tolerance of the independence test while enumerating observables: a candidate
-# is kept iff its residual against the earlier kept ones is above this.  The
-# candidates are integer-entried, so over every enumeration the package and its
-# tests run the kept ones have |R_jj| >= 0.125 (k = 6) and the dropped ones are
-# exact multiples of earlier ones (residual 0; 1.2e-15 projected on the kept).
-# ``count_scaling_check`` compares singular values with it: every offset class
-# of a full register up to MAX_COUNT_MODES has full rank 2^k, and its smallest
-# singular value falls about 1.6x per mode, from 1.24 at k = 1 to 0.18 at k = 5
-# and 0.069 at k = 7, so no singular value lies within six orders of it.
+# Tolerance of ``count_scaling_check``'s rank, compared with singular values:
+# every offset class of a full register up to MAX_COUNT_MODES is square with
+# full rank 2^k, and its smallest singular value falls about 1.6x per mode, from
+# 0.62 at k = 1 to 0.090 at k = 5 and 0.034 at k = 7, so no singular value lies
+# within six orders of it.
 _RANK_TOL = 1e-8
 
 # `tomography --k-max k` counts full registers of up to k modes.  Peak RSS and
 # wall time per command, json / text, fresh process, median of 5 in each of two
-# sessions, on a 2-vCPU Xeon: k = 5 34 / 34 MiB, 0.30-0.39 / 0.27-0.33 s;
-# k = 6 38 / 38 MiB, 0.29-0.34 / 0.31 s; k = 7 81 / 81 MiB, 0.65-1.13 /
-# 0.55-0.88 s, of which the k = 7 count alone is 0.33-0.93 s.
+# runs, on a 2-vCPU Xeon: k = 5 33 / 33 MiB, 0.34 / 0.34 s; k = 6 36 / 36 MiB,
+# 0.31 / 0.27 s; k = 7 65 / 65 MiB, 0.47-0.74 / 0.43-0.75 s, of which the k = 7
+# count alone is about 0.22 s.
 # The count holds the actions of 2^(2k-1) words of 2^k values each, 8x more per
 # k, and its SVDs cost 16x more per k: k = 8 is rejected before it allocates.
 MAX_COUNT_MODES = 7
@@ -150,59 +148,50 @@ def _even_word_actions(n: int, modes: tuple[int, ...]) -> tuple[np.ndarray, np.n
     return (d ^ b)[:, 0], np.where(((s & b) == b) & ((rest & d) == 0), signs, 0.0)
 
 
-def _hermitized_words(n: int, modes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(offsets, plus, minus)``: the values of m + m^dag and m - m^dag on the
-    offset of every even word m on ``modes``, in the order of ``_even_word_actions``.
+def _adjoint_words(words: np.ndarray, k: int) -> np.ndarray:
+    """Base-4 indices, on k modes, of the adjoints of the normal-ordered words
+    ``words``: (c^dag_A c_B)^dag = c^dag_B c_A, so every mode's creator and
+    annihilator digit are exchanged."""
+    creators = words & ((1 << 2 * k) - 1) // 3
+    return creators << 1 | (words ^ creators) >> 1
 
-    The word values are real, so m^dag maps |s ^ d> to m[s] |s>: on the offset
-    d its values are m[s ^ d], and both rows are real.
+
+def _candidate_rows(n: int, modes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(offsets, rows, imaginary)``: one real row per observable on ``modes``,
+    its values on its offset, with ``imaginary`` marking the rows that stand
+    for i times themselves.
+
+    The words are those of ``_even_word_actions`` whose base-4 index is at
+    most that of their adjoint (``_adjoint_words``).  The rule is exact: a
+    dropped word has its adjoint's m + m^dag and the negated m - m^dag, and
+    the normal-ordered words are independent, so the kept rows are too.  A
+    kept word m gives the row (m + m^dag)/2 = m on offset 0, where A = B, and
+    the rows m + m^dag and m - m^dag on any other offset.  The values are
+    real, so m^dag maps |s ^ d> to m[s] |s>: on the offset d its values are
+    m[s ^ d].
     """
     offsets, values = _even_word_actions(n, modes)
+    words = np.arange(1 << 2 * len(modes))
+    words = words[_parity_signs(words) > 0]  # the even words, in the order of the actions
+    keep = words <= _adjoint_words(words, len(modes))
+    offsets, values = offsets[keep], values[keep]
     adjoint = np.take_along_axis(values, np.arange(1 << n) ^ offsets[:, None], axis=1)
-    return offsets, values + adjoint, values - adjoint
-
-
-def _independent_subset(rows: np.ndarray) -> list[int]:
-    """Indices of the rows, in order, that are independent of the earlier kept ones.
-
-    Zero rows and exact scalar multiples of earlier rows (equal bytes once
-    scaled to a leading 1, plus 0.0 so that -0.0 reads +0.0) are dropped.  The
-    rest are the columns of a QR whose |R_jj| is row j's residual against the
-    rows before it; those before the first |R_jj| <= _RANK_TOL are kept, and
-    the QR is taken again of them and the rows after that one, until they span.
-    """
-    pivots = np.take_along_axis(rows, np.argmax(rows != 0, axis=1)[:, None], axis=1)
-    scaled = rows / np.where(pivots == 0, 1, pivots) + 0.0
-    row_bytes = np.dtype((np.void, scaled.itemsize * rows.shape[1]))
-    _, first = np.unique(scaled.view(row_bytes)[:, 0], return_index=True)
-    todo = np.sort(first[pivots[first, 0] != 0]).tolist()
-    kept: list[int] = []
-    while todo and len(kept) < min(rows.shape):
-        r = np.linalg.qr(rows[kept + todo].T, mode="r")
-        small = np.append(np.abs(r.diagonal()[len(kept) :]) <= _RANK_TOL, True)
-        accepted = int(np.argmax(small))  # the rows before the first small |R_jj|
-        kept, todo = kept + todo[:accepted], todo[accepted + 1 :]
-    return kept
+    hermitian = offsets == 0
+    rows = np.stack((np.where(hermitian[:, None], values, values + adjoint), values - adjoint), axis=1)
+    present = np.stack((np.ones_like(hermitian), ~hermitian), axis=1).reshape(-1)
+    imaginary = np.tile([False, True], len(offsets))[present]
+    return np.repeat(offsets, 2)[present], rows.reshape(-1, 1 << n)[present], imaginary
 
 
 def enumerate_physical_observables(n: int, modes) -> np.ndarray:
     """Independent Hermitian parity-even observables on ``modes``, as a (count, 2^n, 2^n) stack.
 
     The candidates are the even monomials in the subset's creators and
-    annihilators, Hermitized as m + m^dag and i(m - m^dag).  A deterministic
-    sweep keeps, in candidate order, each candidate whose component
-    orthogonal to the span of the earlier kept ones has norm above
-    _RANK_TOL.  For a full k-mode subset the count is 2^(2k-1).
-
-    The sweep is split by offset.  A normal-ordered word c^dag_A c_B has all
-    its entries at (s ^ d, s), d the bit mask of the modes in exactly one of
-    A and B, and so do its Hermitized candidates.  Matrices of different
-    offsets are Frobenius-orthogonal, so a candidate's residual against the
-    earlier kept ones is its residual against those of its own offset: the
-    sweep runs once per offset on rows of length 2^n, the values on the
-    offset, with the same decisions, and only kept candidates become matrices.
-    In every enumeration the package runs, a class holds no dependent candidate
-    before it is full but adjoint duplicates, so each class takes one QR.
+    annihilators, Hermitized as m + m^dag and i(m - m^dag), of one word per
+    adjoint pair (``_candidate_rows``), in word order.  A normal-ordered word
+    c^dag_A c_B has all its entries at (s ^ d, s), d the bit mask of the modes
+    in exactly one of A and B, so each row is scattered onto its offset.  For
+    a full k-mode subset the count is 2^(2k-1).
     """
     modes = tuple(sorted(set(int(m) for m in modes)))
     if not modes:
@@ -210,33 +199,26 @@ def enumerate_physical_observables(n: int, modes) -> np.ndarray:
     if modes[0] < 1 or modes[-1] > n:
         raise ValueError(f"bad-mode: subset {modes} outside 1..{n}")
 
-    offsets, plus, minus = _hermitized_words(n, modes)
-    hermitian = offsets == 0  # c^dag_A c_A = (m + m^dag) / 2; other words give m + m^dag and i(m - m^dag)
-    rows = np.stack((np.where(hermitian[:, None], plus / 2, plus), 1j * minus), axis=1)
-    present = np.stack((np.ones_like(hermitian), ~hermitian), axis=1).reshape(-1)
-    rows, offsets = rows.reshape(-1, 1 << n)[present], np.repeat(offsets, 2)[present]
-    classes = [np.flatnonzero(offsets == offset) for offset in np.unique(offsets)]
-    kept = np.sort(np.concatenate([c[_independent_subset(rows[c])] for c in classes]))
+    offsets, rows, imaginary = _candidate_rows(n, modes)
     idx = np.arange(1 << n)
-    matrices = np.zeros((len(kept), 1 << n, 1 << n), dtype=complex)
-    matrices[np.arange(len(kept))[:, None], idx ^ offsets[kept, None], idx] = rows[kept]
+    matrices = np.zeros((len(rows), 1 << n, 1 << n), dtype=complex)
+    matrices[np.arange(len(rows))[:, None], idx ^ offsets[:, None], idx] = np.where(imaginary[:, None], 1j * rows, rows)
     return matrices
 
 
 def _offset_classes(k: int) -> np.ndarray:
-    """The real rows m + m^dag and m - m^dag of every even word on a full k-mode
-    register, grouped by offset: one (2^(k+1), 2^k) matrix per offset class,
-    offsets ascending.
+    """The rows of ``_candidate_rows`` on a full k-mode register, grouped by
+    offset: one square (2^k, 2^k) real matrix per offset class, offsets
+    ascending.
 
     Each of the 2^(k-1) even offsets d is the offset of the 2^k words
-    c^dag_A c_B with A ^ B = d.  The rows span what the class's candidates
-    span: m - m^dag is -i times i(m - m^dag), and on offset 0 the rows 2m and 0
-    span what m does.  So the rank of a class is the number of observables
-    ``enumerate_physical_observables`` keeps on its offset.
+    c^dag_A c_B with A ^ B = d: on d = 0 all are kept and give one row each,
+    on any other d half are kept and give two.  A row m - m^dag is -i times
+    its observable, which leaves the rank unchanged, so the rank of a class
+    is the number of independent observables on its offset.
     """
-    offsets, plus, minus = _hermitized_words(k, tuple(range(1, k + 1)))
-    order = np.argsort(offsets, kind="stable")
-    return np.stack((plus[order], minus[order]), axis=1).reshape(1 << (k - 1), 2 << k, 1 << k)
+    offsets, rows, _ = _candidate_rows(k, tuple(range(1, k + 1)))
+    return rows[np.argsort(offsets, kind="stable")].reshape(1 << (k - 1), 1 << k, 1 << k)
 
 
 def count_scaling_check(k_max: int) -> list[tuple[int, int, int, bool]]:

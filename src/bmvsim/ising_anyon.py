@@ -39,9 +39,8 @@ import numpy as np
 from .statecore import EPS, dagger, partial_trace, tensor
 from .witness import LocalObservableSet, ProtocolTrace, purity, run_protocol
 
-CHARGES = (0, 1, 2)
-
-#: Allowed total charges z for a fused pair (x, y); symmetric in x, y.
+#: Allowed total charges z for a fused pair (x, y) of charges in {0, 1, 2};
+#: symmetric in x, y.
 FUSION_OUTCOMES: dict[tuple[int, int], tuple[int, ...]] = {
     (0, 0): (0,),
     (0, 1): (1,),
@@ -53,17 +52,6 @@ FUSION_OUTCOMES: dict[tuple[int, int], tuple[int, ...]] = {
     (2, 1): (1,),
     (2, 2): (0,),
 }
-
-
-def fusion_outcomes(x: int, y: int) -> tuple[int, ...]:
-    try:
-        return FUSION_OUTCOMES[(x, y)]
-    except KeyError:
-        raise ValueError(f"bad-fusion-tree: charges ({x}, {y}) outside {CHARGES}") from None
-
-
-def fusion_allowed(x: int, y: int, z: int) -> bool:
-    return (x, y) in FUSION_OUTCOMES and z in FUSION_OUTCOMES[(x, y)]
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +66,8 @@ class Partition(Enum):
     RIGHT = "right"    # Q1 (M Q2), internal label h2
 
 
-INTERNAL_VALUES = (0, 2)
+# The internal coupling label: the charge of a fused (1, 1) pair.
+INTERNAL_VALUES = FUSION_OUTCOMES[(1, 1)]
 
 #: Sector basis labels in index order: (x1, x2, internal).
 SECTOR_BASIS: tuple[tuple[int, int, int], ...] = tuple(

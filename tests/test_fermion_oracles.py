@@ -13,8 +13,8 @@ from bmvsim import fermion_ssr
 from bmvsim.fermion_ssr import (
     MAX_COUNT_MODES,
     _RANK_TOL,
+    _adjoint_words,
     _even_word_actions,
-    _independent_subset,
     _offset_classes,
     _parity_signs,
     _trace_signs,
@@ -315,48 +315,6 @@ def sequential_kept_indices(candidates):
     return kept
 
 
-def blocked_kept_indices(rows, block_size=64):
-    """Indices kept by blocked classical Gram-Schmidt with one
-    re-orthogonalisation pass: each block of rows is projected twice against
-    the kept orthonormal rows with matrix-matrix products, then its rows are
-    accepted one at a time, each projected twice against the rows kept
-    earlier in the same block."""
-    kept = []
-    ortho = np.empty((min(rows.shape), rows.shape[1]), dtype=complex)
-    rank = 0
-    for start in range(0, len(rows), block_size):
-        block = np.array(rows[start : start + block_size], dtype=complex)
-        done = ortho[:rank]
-        for _ in range(2):
-            block -= (block @ done.conj().T) @ done
-        first = rank
-        for index, v in enumerate(block, start):
-            new = ortho[first:rank]
-            for _ in range(2):
-                v -= (new.conj() @ v) @ new
-            norm = np.vdot(v, v).real ** 0.5
-            if norm > _RANK_TOL:
-                ortho[rank] = v / norm
-                rank += 1
-                kept.append(index)
-                if rank == len(ortho):
-                    return kept  # the kept rows span every row; the rest are dependent
-    return kept
-
-
-def first_restart(rows, kept):
-    """Index of the first row, before the last kept one, that depends on the
-    earlier rows without being zero or a scalar multiple of one of them: the
-    sweep rejects it in a QR and takes the QR again.  None if there is none."""
-    norms = np.linalg.norm(rows, axis=1)
-    for index in sorted(set(range(kept[-1])) - set(kept)):
-        earlier = norms[:index] > 0
-        cosines = np.abs(rows[:index][earlier].conj() @ rows[index]) / (norms[:index][earlier] * norms[index])
-        if norms[index] > 0 and not (cosines > 1 - 1e-12).any():
-            return index
-    return None
-
-
 def test_parity_signs_match_bit_counts():
     rng = np.random.default_rng(7)
     values = np.concatenate([np.arange(1 << 10), rng.integers(0, 1 << 40, size=500)])
@@ -415,40 +373,43 @@ def test_mask_word_actions_match_word_actions(n, modes):
         assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
-@pytest.mark.parametrize("n, modes", ENUMERATIONS)
-def test_enumeration_takes_one_qr_per_offset_class(n, modes, monkeypatch):
-    # the only dependent candidates before a class is full are the adjoint
-    # duplicates, which the sweep drops before its QR
-    calls = []
-    qr = np.linalg.qr
-
-    def counted_qr(a, mode):
-        calls.append(a.shape)
-        return qr(a, mode)
-
-    monkeypatch.setattr(np.linalg, "qr", counted_qr)
-    enumerate_physical_observables(n, modes)
-    offsets = {word_offset(n, word) for word in even_words(modes)}
-    assert len(calls) == len(offsets)
+def symbolic_adjoint(word):
+    """The normal-ordered adjoint of a normal-ordered word: its creators become
+    annihilators and its annihilators creators, each run reversed."""
+    return tuple((mode, not creation) for mode, creation in reversed(word))
 
 
-def test_counts_match_the_enumeration(monkeypatch):
-    # each offset class's rank is what the enumeration's sweep keeps on that
-    # offset; the sweep visits the classes in ascending offset order too
-    kept_per_class = []
+@pytest.mark.parametrize("n, modes", ENUMERATIONS + [(k, tuple(range(1, k + 1))) for k in (6, 7)])
+def test_dropped_words_repeat_their_adjoints_observables(n, modes):
+    words = np.arange(1 << 2 * len(modes))
+    adjoint = _adjoint_words(words, len(modes))
+    assert np.array_equal(_adjoint_words(adjoint, len(modes)), words)
+    even = words[_parity_signs(words) > 0]
+    symbolic = list(even_words(modes))
+    position = {word: index for index, word in enumerate(symbolic)}
+    partner = np.array([position[symbolic_adjoint(word)] for word in symbolic])
+    assert np.array_equal(even[partner], adjoint[even])
+    offsets, values = _even_word_actions(n, modes)
+    on_offset = np.take_along_axis(values, np.arange(1 << n) ^ offsets[:, None], axis=1)
+    plus, minus = values + on_offset, values - on_offset
+    dropped = np.flatnonzero(even > adjoint[even])
+    assert len(dropped) == np.count_nonzero(offsets) // 2
+    assert np.array_equal(offsets[dropped], offsets[partner[dropped]])
+    assert np.array_equal(plus[dropped], plus[partner[dropped]])
+    assert np.array_equal(minus[dropped], -minus[partner[dropped]])
 
-    def recorded(rows):
-        kept = _independent_subset(rows)
-        kept_per_class.append(len(kept))
-        return kept
 
-    monkeypatch.setattr(fermion_ssr, "_independent_subset", recorded)
+def test_counts_match_the_enumeration():
+    # each offset class's rank is the number of enumerated observables on that
+    # offset, and the classes are in ascending offset order
     for k, count, _, _ in count_scaling_check(6):
-        kept_per_class.clear()
-        assert count == len(enumerate_physical_observables(k, range(1, k + 1)))
+        observables = enumerate_physical_observables(k, range(1, k + 1))
+        assert count == len(observables)
         if k <= 5:
+            row, column = np.divmod(np.argmax(observables.reshape(count, -1) != 0, axis=1), 1 << k)
+            _, per_offset = np.unique(row ^ column, return_counts=True)
             ranks = np.linalg.matrix_rank(_offset_classes(k), tol=_RANK_TOL)
-            assert ranks.tolist() == kept_per_class
+            assert ranks.tolist() == per_offset.tolist()
 
 
 @pytest.mark.parametrize("k", range(1, MAX_COUNT_MODES + 1))
@@ -462,53 +423,6 @@ def test_count_rank_tolerance_sits_in_a_wide_gap(k):
         f"k = {k}: smallest kept singular value {nonzero.min():.3g} is within six orders of _RANK_TOL"
     )
     assert len(nonzero) == 1 << (2 * k - 1)
-
-
-@pytest.mark.parametrize("seed, dim, count", [(101, 24, 220), (102, 60, 240), (103, 200, 300)])
-def test_blocked_sweep_matches_sequential_on_planted_dependencies(seed, dim, count):
-    rng = np.random.default_rng(seed)
-    candidates = []
-    for _ in range(count):
-        kind = rng.integers(4) if candidates else 0
-        if kind <= 1:
-            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        elif kind == 2:
-            # a scaled combination of up to three earlier candidates
-            picks = rng.choice(len(candidates), size=min(3, len(candidates)), replace=False)
-            weights = rng.standard_normal(len(picks)) + 1j * rng.standard_normal(len(picks))
-            v = sum(w * candidates[p] for w, p in zip(weights, picks))
-        else:
-            v = candidates[rng.integers(len(candidates))].copy()
-        candidates.append(v)
-    expected = sequential_kept_indices(candidates)
-    assert len(expected) < count
-    assert first_restart(np.array(candidates), expected) is not None
-    assert blocked_kept_indices(np.array(candidates)) == expected
-    assert _independent_subset(np.array(candidates)) == expected
-
-
-@pytest.mark.parametrize("seed, dim, count", [(111, 6, 40), (112, 24, 60), (113, 80, 60)])
-def test_sweep_matches_oracles_on_copies_multiples_and_zero_rows(seed, dim, count):
-    rng = np.random.default_rng(seed)
-    candidates = [np.zeros(dim, dtype=complex)]
-    for _ in range(count):
-        kind = rng.integers(5)
-        if kind == 0:
-            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        elif kind == 1:
-            v = np.zeros(dim, dtype=complex)
-        elif kind == 2:
-            v = candidates[rng.integers(len(candidates))].copy()
-        elif kind == 3:
-            v = rng.choice([-1, 1j, -1j, 2]) * candidates[rng.integers(len(candidates))]
-        else:
-            # a combination of two earlier candidates, which the QR rejects
-            v = sum(rng.standard_normal() * candidates[p] for p in rng.integers(len(candidates), size=2))
-        candidates.append(v)
-    expected = sequential_kept_indices(candidates)
-    assert len(expected) < count
-    assert blocked_kept_indices(np.array(candidates)) == expected
-    assert _independent_subset(np.array(candidates)) == expected
 
 
 @pytest.mark.parametrize("n", range(2, 8))

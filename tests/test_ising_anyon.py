@@ -5,7 +5,7 @@ import pytest
 
 from bmvsim import ising_anyon
 from bmvsim.ising_anyon import (
-    CHARGES,
+    FUSION_OUTCOMES,
     P_LEFT_TO_RIGHT,
     AnyonState,
     Partition,
@@ -14,8 +14,6 @@ from bmvsim.ising_anyon import (
     change_partition,
     embedded_x,
     embedded_z,
-    fusion_allowed,
-    fusion_outcomes,
     initial_protocol_state,
     local_x,
     matter_observable_set,
@@ -41,6 +39,19 @@ SHAPES = (Partition.CENTER, Partition.LEFT, Partition.RIGHT)
 # ---------------------------------------------------------------------------
 # general three-leaf fusion trees and the recoupling move: the reference that
 # the hand-pinned partition matrices of the protocol sector are checked against
+
+CHARGES = (0, 1, 2)
+
+
+def fusion_outcomes(x: int, y: int) -> tuple[int, ...]:
+    try:
+        return FUSION_OUTCOMES[(x, y)]
+    except KeyError:
+        raise ValueError(f"bad-fusion-tree: charges ({x}, {y}) outside {CHARGES}") from None
+
+
+def fusion_allowed(x: int, y: int, z: int) -> bool:
+    return (x, y) in FUSION_OUTCOMES and z in FUSION_OUTCOMES[(x, y)]
 
 
 def pair_labels() -> list[tuple[int, int, int]]:

@@ -7,11 +7,6 @@ from pathlib import Path
 
 import bmvsim
 
-# The model's fusion rules.  The package reads them from its tables, and the
-# fusion-tree engine in test_ising_anyon builds the tree spaces from them.
-ALLOWED = {"ising_anyon.fusion_outcomes", "ising_anyon.fusion_allowed"}
-
-
 def unreferenced_definitions(src: Path) -> set[str]:
     """``module.name`` of each top-level function or class of ``src`` that no
     other top-level statement of ``src`` names or reads as an attribute."""
@@ -34,4 +29,4 @@ def unreferenced_definitions(src: Path) -> set[str]:
 
 def test_every_top_level_definition_is_used_or_exported():
     unused = unreferenced_definitions(Path(bmvsim.__file__).parent)
-    assert unused == ALLOWED
+    assert unused == set()
