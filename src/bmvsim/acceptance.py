@@ -2,9 +2,8 @@
 as one deterministic suite (also exposed through ``bmvsim verify-all``).
 
 Each criterion compares computed values against pinned expectations at the
-global tolerance; an exception inside a criterion is reported as a failure,
-so tolerance overrides that break the numerics surface as red rows instead of
-crashes.
+caller's tolerance.  A criterion that raises is a fault of the program, not a
+failed expectation: the exception reaches the caller and no report is made.
 """
 
 from __future__ import annotations
@@ -409,13 +408,10 @@ CRITERIA = (
 
 def run_all(eps: float = EPS) -> list[dict]:
     """The ``criteria`` rows of the verify-all report, one per acceptance
-    criterion; an exception inside a criterion makes a failed row."""
+    criterion."""
     ctx: dict = {}
     results = []
     for index, name, fn in CRITERIA:
-        try:
-            passed, detail = fn(eps, ctx)
-        except Exception as exc:  # tolerance overrides may break invariant gates
-            passed, detail = False, f"error: {exc}"
+        passed, detail = fn(eps, ctx)
         results.append({"index": index, "name": name, "pass": bool(passed), "detail": detail})
     return results

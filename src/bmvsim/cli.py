@@ -4,9 +4,11 @@ full acceptance suite, emitting deterministic JSON/CSV/text reports.
 Exit codes: 0 all expectations met, 1 expectation mismatch, 2 usage error,
 3 I/O error; a crash raises out of ``main``, a traceback and no report.  The
 tolerance defaults to 1e-10, may be set by the BMV_EPS environment variable,
-and is overridden by --eps; it must lie in (0, 1e-6].  Reports contain no
-timestamps, so identical invocations produce identical bytes.  Complex
-numbers serialize as [re, im] pairs and matrices as row-major nested arrays.
+and is overridden by --eps; it must lie in [1e-12, 1e-6], since below
+``statecore.EPS_MIN`` = 1e-12 rounding would decide the verdicts.  Reports
+contain no timestamps, so identical invocations produce identical bytes.
+Complex numbers serialize as [re, im] pairs and matrices as row-major nested
+arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from . import __version__
 from .acceptance import RUNNERS, model_checks, run_all, span_check
 from .fermion_ssr import MAX_COUNT_MODES, count_scaling_check
 from .ising_anyon import AnyonState
-from .statecore import EPS
+from .statecore import EPS, EPS_MIN
 from .witness import CorrelationTable, ProtocolTrace, WitnessReport
 
 EXIT_OK = 0
@@ -352,8 +354,8 @@ def _resolve_eps(value: float | None) -> float:
                 raise UsageError(f"BMV_EPS is not a number: {env!r}") from None
     if value is None:
         return EPS
-    if not (0.0 < value <= 1e-6):
-        raise UsageError(f"eps must lie in (0, 1e-6], got {value:g}")
+    if not (EPS_MIN <= value <= 1e-6):
+        raise UsageError(f"eps must lie in [{EPS_MIN:g}, 1e-6], got {value:g}")
     return value
 
 
@@ -369,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--format", choices=sorted(RENDERERS), default="text")
     report.add_argument("--out", default=None, help="write the report to this path")
-    report.add_argument("--eps", type=float, default=None)
+    report.add_argument("--eps", type=float, default=None,
+                        help=f"tolerance of every verdict ({EPS_MIN:g} to 1e-6, default {EPS:g})")
 
     run = sub.add_parser("run", parents=[report],
                          help="run one mediation protocol and check its expectations")

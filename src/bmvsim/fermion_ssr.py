@@ -122,9 +122,9 @@ def creator_matrix(n: int, j: int) -> np.ndarray:
 # physical (parity-even) observables
 
 
-def _even_word_actions(n: int, modes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Every even normal-ordered word on ``modes`` as ``(offsets, values)``, from
-    bit masks: word w maps |s> to values[w, s] |s ^ offsets[w]>.
+def _even_word_actions(n: int, modes: tuple[int, ...], words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The even normal-ordered ``words`` on ``modes`` as ``(offsets, values)``,
+    from bit masks: the i-th word maps |s> to values[i, s] |s ^ offsets[i]>.
 
     Word w has one base-4 digit dag + 2 ann per mode, modes[0] most significant:
     c^dag over the modes D ascending, then c over B descending, flipping D ^ B
@@ -133,15 +133,13 @@ def _even_word_actions(n: int, modes: tuple[int, ...]) -> tuple[np.ndarray, np.n
     parity((s & ~B) & X(D)) (-1)^(q(q-1)/2), q = |B|: the last factor takes back
     the modes of B that the annihilators, lowest first, have already emptied.
     """
-    digits = np.arange(1 << 2 * len(modes))
     creators = annihilators = x_creators = x_annihilators = q = 0
     for place, mode in enumerate(reversed(modes)):
         bit, before = 1 << (n - mode), (1 << n) - (2 << (n - mode))
-        dag, ann = (digits >> 2 * place) & 1, (digits >> 2 * place + 1) & 1
+        dag, ann = (words >> 2 * place) & 1, (words >> 2 * place + 1) & 1
         creators, annihilators, q = creators | dag * bit, annihilators | ann * bit, q + ann
         x_creators, x_annihilators = x_creators ^ dag * before, x_annihilators ^ ann * before
-    even = _parity_signs(creators ^ annihilators) > 0
-    d, b, xd, xb, q = (a[even, None] for a in (creators, annihilators, x_creators, x_annihilators, q))
+    d, b, xd, xb, q = (a[:, None] for a in (creators, annihilators, x_creators, x_annihilators, q))
     s = np.arange(1 << n)
     rest = s & ~b
     signs = _parity_signs((s & xb) ^ (rest & xd)) * np.where(q & 2, -1.0, 1.0)
@@ -161,20 +159,18 @@ def _candidate_rows(n: int, modes: tuple[int, ...]) -> tuple[np.ndarray, np.ndar
     its values on its offset, with ``imaginary`` marking the rows that stand
     for i times themselves.
 
-    The words are those of ``_even_word_actions`` whose base-4 index is at
-    most that of their adjoint (``_adjoint_words``).  The rule is exact: a
-    dropped word has its adjoint's m + m^dag and the negated m - m^dag, and
-    the normal-ordered words are independent, so the kept rows are too.  A
-    kept word m gives the row (m + m^dag)/2 = m on offset 0, where A = B, and
-    the rows m + m^dag and m - m^dag on any other offset.  The values are
-    real, so m^dag maps |s ^ d> to m[s] |s>: on the offset d its values are
-    m[s ^ d].
+    The words are the even ones whose base-4 index is at most that of their
+    adjoint (``_adjoint_words``), and only they get actions.  The rule is
+    exact: a dropped word has its adjoint's m + m^dag and the negated
+    m - m^dag, and the normal-ordered words are independent, so the kept rows
+    are too.  A kept word m gives the row (m + m^dag)/2 = m on offset 0, where
+    A = B, and the rows m + m^dag and m - m^dag on any other offset.  The
+    values are real, so m^dag maps |s ^ d> to m[s] |s>: on the offset d its
+    values are m[s ^ d].
     """
-    offsets, values = _even_word_actions(n, modes)
     words = np.arange(1 << 2 * len(modes))
-    words = words[_parity_signs(words) > 0]  # the even words, in the order of the actions
-    keep = words <= _adjoint_words(words, len(modes))
-    offsets, values = offsets[keep], values[keep]
+    words = words[(_parity_signs(words) > 0) & (words <= _adjoint_words(words, len(modes)))]
+    offsets, values = _even_word_actions(n, modes, words)
     adjoint = np.take_along_axis(values, np.arange(1 << n) ^ offsets[:, None], axis=1)
     hermitian = offsets == 0
     rows = np.stack((np.where(hermitian[:, None], values, values + adjoint), values - adjoint), axis=1)

@@ -145,17 +145,18 @@ def change_partition(state: AnyonState, dst: Partition) -> AnyonState:
 
 
 # ---------------------------------------------------------------------------
-# system-local protocol unitaries (diagonal-in-one-partition actions)
+# system-local protocol unitaries (diagonal-in-one-partition actions); each
+# returns the state in the partition it acts in
 
 
 def _phase_mq2(state: AnyonState, phase_for_x2: dict[int, complex]) -> AnyonState:
     """Multiply the internal = 2 amplitudes of the right-hand partition by a
-    phase that depends on x2, and return to the state's own partition."""
+    phase that depends on x2."""
     amps = change_partition(state, Partition.RIGHT).amps.copy()
     for x1 in (0, 1):
         for x2 in (0, 1):
             amps[sector_index(x1, x2, 2)] *= phase_for_x2[x2]
-    return change_partition(AnyonState(Partition.RIGHT, amps), state.shape)
+    return AnyonState(Partition.RIGHT, amps)
 
 
 # The phases are written as literals, not as conjugates of each other:
@@ -173,14 +174,13 @@ def unitary_w_mq2(state: AnyonState) -> AnyonState:
 
 
 def unitary_v_q1m(state: AnyonState) -> AnyonState:
-    """Controlled flip local in Q1 M: swap x1 = 0 <-> 1 on internal = 2."""
-    original = state.shape
-    s = change_partition(state, Partition.LEFT)
-    amps = s.amps.copy()
+    """Controlled flip local in Q1 M: swap x1 = 0 <-> 1 on internal = 2 of
+    the left-hand partition."""
+    amps = change_partition(state, Partition.LEFT).amps.copy()
     for x2 in (0, 1):
         a, b = sector_index(0, x2, 2), sector_index(1, x2, 2)
         amps[a], amps[b] = amps[b], amps[a]
-    return change_partition(AnyonState(Partition.LEFT, amps), original)
+    return AnyonState(Partition.LEFT, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +296,10 @@ def run_anyon_protocol(eps: float = EPS) -> ProtocolTrace:
     carries the ``DISPLAYS`` of the states for amplitude-level comparison and
     the mediator purity at every checkpoint.
     """
-
-    def gate(label: str, unitary, shape: Partition):
-        return label, lambda state: unitary(change_partition(state, shape))
-
     trace = run_protocol(
         "anyon",
         initial_protocol_state(),
-        (
-            gate("u_mq2", unitary_u_mq2, Partition.RIGHT),
-            gate("v_q1m", unitary_v_q1m, Partition.LEFT),
-            gate("w_mq2", unitary_w_mq2, Partition.RIGHT),
-        ),
+        (("u_mq2", unitary_u_mq2), ("v_q1m", unitary_v_q1m), ("w_mq2", unitary_w_mq2)),
         lambda state: (trace_matter_to_mediator(state), trace_mediator(state)),
         lambda matter: (trace_q2(matter), trace_q1(matter)),
         (local_x(), embedded_x(1), embedded_x(2)),

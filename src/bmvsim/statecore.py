@@ -22,6 +22,11 @@ import numpy as np
 #: Global numeric tolerance for equality tests and verdicts.
 EPS = 1e-10
 
+#: The smallest tolerance a verdict may be asked for.  The largest rounding
+#: deviation any check meets is 1.6e-15 (a purity); the anyon rows pass at
+#: eps 1e-14 and fail at 1e-15, and every pinned command passes at 1e-12.
+EPS_MIN = 1e-12
+
 
 def close(a: complex, b: complex, eps: float = EPS) -> bool:
     """Tolerance-based scalar equality: |a - b| <= eps."""

@@ -21,21 +21,12 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .statecore import EPS, close, is_density, mat_close
+from .statecore import EPS, EPS_MIN, close, is_density, mat_close
 
 # Tr(A rho) of Hermitian A and rho is real (its imaginary part is exactly 0
 # on every protocol); a larger relative imaginary part means a non-Hermitian
 # input, an error rather than a verdict, so this does not follow eps.
 _IMAG_TOL = 1e-8
-
-# Floors under eps for the input guards of uncorrelated_test and purity, and
-# for the singular values schmidt_rank counts.  They check inputs, not
-# verdicts, which may be asked for at an eps below float64 rounding (the CLI
-# accepts 1e-30).  On the protocols' matter states and mediators the trace
-# is off by at most 7.8e-16, the lowest eigenvalue is -1.4e-16, the purity is
-# off by 1.6e-15 and a zero Schmidt coefficient reads 2.5e-16.
-_ROUNDING_FLOOR = 1e-12
-_PURITY_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -92,7 +83,7 @@ class WitnessReport:
     @property
     def entangled(self) -> bool:
         """Pure and not uncorrelated, at the tolerance the report was made with."""
-        return close(self.purity, 1.0, self.eps * max(1.0, abs(self.purity))) and not self.uncorrelated
+        return close(self.purity, 1.0, self.eps) and not self.uncorrelated
 
 
 @dataclass
@@ -124,12 +115,11 @@ def _real(vals: np.ndarray) -> np.ndarray:
 def purity(rho: np.ndarray, eps: float = EPS) -> float:
     """Tr(rho^2) of a density operator; lies in [1/dim, 1]."""
     rho = np.asarray(rho, dtype=complex)
-    tol = max(eps, _ROUNDING_FLOOR)
-    if not is_density(rho, tol):
+    if not is_density(rho, eps):
         raise ValueError("not-density: purity requires a density operator")
     p = float(np.real(np.trace(rho @ rho)))
     dim = rho.shape[0]
-    if not (1.0 / dim - tol <= p <= 1.0 + tol):
+    if not (1.0 / dim - eps <= p <= 1.0 + eps):
         raise ValueError(f"not-density: purity {p} outside [1/{dim}, 1]")
     return p
 
@@ -143,8 +133,9 @@ def uncorrelated_test(
     """Check the factorization of expectations over all observable pairs.
 
     ``state`` is a pure state, given either as a vector or as a density
-    operator with purity 1 (within eps); mixed inputs raise ``not-pure`` and
-    observables of another dimension ``bad-partition``.
+    operator with purity 1 (within eps); mixed inputs raise ``not-pure``,
+    observables of another dimension ``bad-partition`` and an eps below
+    ``EPS_MIN``, where rounding decides the verdict, ``bad-eps``.
     The joint observable of a pair is the matrix product A B; the table is
     computed one A at a time, all of B in one stacked product, each entry the
     trace of one (A B) rho, and held as float64 arrays.  The report flags the
@@ -152,6 +143,8 @@ def uncorrelated_test(
     within eps; otherwise the maximal-violation pair is recorded, ties (within
     eps) broken by lowest index pair.
     """
+    if not eps >= EPS_MIN:
+        raise ValueError(f"bad-eps: eps {eps:g} is below the rounding bound {EPS_MIN:g}")
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
         nrm = np.linalg.norm(state)
@@ -160,10 +153,10 @@ def uncorrelated_test(
         rho = np.outer(state, state.conj())
     else:
         rho = state
-    if not is_density(rho, max(eps, _ROUNDING_FLOOR)):
+    if not is_density(rho, eps):
         raise ValueError("not-pure: input is not a density operator")
     p = float(np.real(np.trace(rho @ rho)))
-    if not close(p, 1.0, max(eps, _PURITY_FLOOR)):
+    if not close(p, 1.0, eps):
         raise ValueError(f"not-pure: purity {p} differs from 1")
 
     dim = rho.shape[0]
@@ -209,7 +202,7 @@ def schmidt_rank(state: np.ndarray, dim_a: int, dim_b: int, eps: float = EPS) ->
     if state.size != dim_a * dim_b:
         raise ValueError("bad-partition: state length must equal dim_a * dim_b")
     sv = np.linalg.svd(state.reshape(dim_a, dim_b), compute_uv=False)
-    return int(np.sum(sv > max(eps, _ROUNDING_FLOOR)))
+    return int(np.sum(sv > eps))
 
 
 def run_protocol(

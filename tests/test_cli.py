@@ -163,13 +163,25 @@ def test_verify_all_csv_parses(capsys):
     assert len(rows) > 11
 
 
-def test_eps_override_surfaces_failures(capsys, monkeypatch):
-    code, out, _ = run_cli(capsys, ["verify-all", "--eps", "1e-30"])
-    assert code == EXIT_MISMATCH
-    assert "[FAIL]" in out
-    monkeypatch.setenv("BMV_EPS", "1e-30")
-    code_env, _, _ = run_cli(capsys, ["verify-all"])
-    assert code_env == EXIT_MISMATCH
+@pytest.mark.parametrize("command", [["run", "fermion"], ["run", "anyon"], ["run", "bitantibit"], ["tomography"], ["verify-all"]])
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("eps", ["9.9e-13", "1e-16", "1e-30"])
+def test_eps_below_eps_min_exits_2_before_any_protocol(capsys, monkeypatch, tmp_path, command, source, eps):
+    # below EPS_MIN rounding decides the verdicts: the command is refused
+    # before a protocol runs, and no report is written
+    called = []
+    for model in cli.RUNNERS:
+        monkeypatch.setitem(cli.RUNNERS, model, lambda *args, **options: called.append(args))
+    monkeypatch.setattr(cli, "count_scaling_check", lambda *args: called.append(args))
+    target = tmp_path / "report"
+    argv = [*command, "--out", str(target)]
+    if source == "flag":
+        argv += ["--eps", eps]
+    else:
+        monkeypatch.setenv("BMV_EPS", eps)
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_USAGE and "eps must lie in [1e-12, 1e-6]" in err
+    assert out == "" and not target.exists() and not called
 
 
 def test_eps_flag_beats_environment(capsys, monkeypatch):
@@ -207,6 +219,20 @@ def test_crash_raises_and_is_not_a_mismatch(capsys, monkeypatch):
     monkeypatch.setitem(cli.RUNNERS, "fermion", boom)
     with pytest.raises(ValueError, match="planted fault"):
         main(["run", "fermion"])
+    assert capsys.readouterr() == ("", "")
+
+
+def test_crashing_criterion_raises_out_of_verify_all(capsys, monkeypatch):
+    # a criterion that raises is not a failed row: verify-all follows run
+    def boom(eps, ctx):
+        raise ValueError("bad-partition: planted fault")
+
+    criteria = list(acceptance.CRITERIA)
+    index, name, _ = criteria[4]
+    criteria[4] = (index, name, boom)
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple(criteria))
+    with pytest.raises(ValueError, match="planted fault"):
+        main(["verify-all"])
     assert capsys.readouterr() == ("", "")
 
 
@@ -269,18 +295,6 @@ def test_text_rendering_smoke(capsys, model):
     assert out.startswith("bmvsim")
     assert f"model: {model}" in out
     assert out.strip().endswith("RESULT: PASS")
-
-
-@pytest.mark.parametrize("model, eps", [("anyon", "1e-16"), ("bitantibit", "1e-16"), ("fermion", "1e-20")])
-def test_eps_below_rounding_still_writes_a_report(capsys, tmp_path, model, eps):
-    # purity's density check has a rounding floor, so an eps below float64
-    # rounding gives a report with verdicts at that eps, not an input error
-    target = tmp_path / "report.txt"
-    code, _, err = run_cli(capsys, ["run", model, "--eps", eps, "--out", str(target)])
-    assert "not-density" not in err
-    text = target.read_text()
-    assert text.endswith("RESULT: PASS\n" if code == EXIT_OK else "RESULT: FAIL\n")
-    assert code in (EXIT_OK, EXIT_MISMATCH)
 
 
 def test_consecutive_calls_share_no_state(capsys, monkeypatch):

@@ -367,7 +367,8 @@ def test_enumeration_matches_sequential_sweep(n, modes):
 @pytest.mark.parametrize("n, modes", ENUMERATIONS + [(6, tuple(range(1, 7))), (7, tuple(range(1, 8)))])
 def test_mask_word_actions_match_word_actions(n, modes):
     want = _word_actions(n, list(even_words(modes)))
-    got = _even_word_actions(n, modes)
+    words = np.arange(1 << 2 * len(modes))
+    got = _even_word_actions(n, modes, words[_parity_signs(words) > 0])
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
         assert np.array_equal(np.signbit(a), np.signbit(b))
@@ -389,7 +390,7 @@ def test_dropped_words_repeat_their_adjoints_observables(n, modes):
     position = {word: index for index, word in enumerate(symbolic)}
     partner = np.array([position[symbolic_adjoint(word)] for word in symbolic])
     assert np.array_equal(even[partner], adjoint[even])
-    offsets, values = _even_word_actions(n, modes)
+    offsets, values = _even_word_actions(n, modes, even)
     on_offset = np.take_along_axis(values, np.arange(1 << n) ^ offsets[:, None], axis=1)
     plus, minus = values + on_offset, values - on_offset
     dropped = np.flatnonzero(even > adjoint[even])

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from bmvsim.cli import main
+from bmvsim.statecore import EPS_MIN
 
 _spec = importlib.util.spec_from_file_location(
     "bench_harness", Path(__file__).resolve().parent.parent / "benchmark" / "harness.py"
@@ -40,3 +41,12 @@ def test_report_matches_golden(argv, golden, tmp_path):
     code = main([*argv, "--out", str(out)])
     data = out.read_bytes() if out.exists() else b""
     assert harness.check_output(argv, code, data, golden) is None
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=harness.command_key)
+def test_command_passes_at_eps_min(argv, tmp_path):
+    # EPS_MIN is the smallest tolerance the CLI accepts: every verdict holds there
+    out = tmp_path / "report"
+    code = main([*argv, "--eps", repr(EPS_MIN), "--out", str(out)])
+    fmt = argv[argv.index("--format") + 1]
+    assert code == 0 and out.read_bytes().endswith(harness.PASS_SUFFIX[fmt])

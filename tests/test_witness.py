@@ -20,7 +20,7 @@ from bmvsim.ising_anyon import (
     sector_index,
     trace_mediator,
 )
-from bmvsim.statecore import EPS, dyad, hermitian_basis, mat_close, random_hermitian, random_state, tensor
+from bmvsim.statecore import EPS, EPS_MIN, dyad, hermitian_basis, mat_close, random_hermitian, random_state, tensor
 from bmvsim.witness import (
     LocalObservableSet,
     purity,
@@ -328,16 +328,30 @@ def test_bit_antibit_verdict_matches_schmidt_oracle():
     assert trace.summary["initial_report"].uncorrelated
 
 
+def pauli_pair_sets():
+    """The Pauli algebra of each qubit of two, embedded in the 4-dim space."""
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+    return (
+        LocalObservableSet("A", tuple(tensor(p, np.eye(2)) for p in paulis)),
+        LocalObservableSet("B", tuple(tensor(np.eye(2), p) for p in paulis)),
+    )
+
+
+def test_eps_below_eps_min_is_refused():
+    # below EPS_MIN a rounding-size deviation would decide the verdict
+    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    with pytest.raises(ValueError, match="bad-eps"):
+        uncorrelated_test(bell, *pauli_pair_sets(), eps=1e-16)
+    assert uncorrelated_test(bell, *pauli_pair_sets(), eps=EPS_MIN).entangled
+
+
 def test_entangled_verdict_uses_the_callers_eps():
     # a Bell state mixed with weight 5e-9 of |01>: purity 1 - 1e-8, pure at eps 1e-7
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     other = np.array([0, 1, 0, 0], dtype=complex)
     weight = 5e-9
     rho = (1 - weight) * dyad(bell) + weight * dyad(other)
-    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
-    set_a = LocalObservableSet("A", tuple(tensor(p, np.eye(2)) for p in paulis))
-    set_b = LocalObservableSet("B", tuple(tensor(np.eye(2), p) for p in paulis))
-    report = uncorrelated_test(rho, set_a, set_b, eps=1e-7)
+    report = uncorrelated_test(rho, *pauli_pair_sets(), eps=1e-7)
     assert abs(report.purity - (1 - 1e-8)) <= 1e-15
     assert not report.uncorrelated
     assert report.entangled
