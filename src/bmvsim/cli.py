@@ -328,15 +328,21 @@ def _emit(report: dict, fmt: str, out: str | None) -> int:
     """Write the report; the exit code says whether it was written and passed."""
     text = RENDERERS[fmt](report)
     slices = (text[start : start + _WRITE_SLICE] for start in range(0, len(text), _WRITE_SLICE))
-    if out is None:
-        sys.stdout.writelines(slices)
-    else:
-        try:
+    try:
+        if out is None:
+            sys.stdout.writelines(slices)
+            sys.stdout.flush()
+        else:
             with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.writelines(slices)
-        except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return EXIT_IO
+    except OSError as exc:
+        if out is None:
+            # what stdout still buffers goes nowhere, so the flush at exit cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return EXIT_IO
     return EXIT_OK if report["pass"] else EXIT_MISMATCH
 
 

@@ -1,14 +1,14 @@
 """Fusion-tree engine for a three-charge non-Abelian toy model.
 
 Charges take values in {0, 1, 2}; two subsystems with charges x and y fuse
-into a total charge z drawn from ``FUSION_OUTCOMES[(x, y)]``.  The pair
+into a total charge z allowed by the fusion table (kept, with the general
+three-leaf tree engine that reads it, in tests/test_ising_anyon.py).  The pair
 (1, 1) is the only one with two outcomes, {0, 2}, which is the sole source of
 the hidden coupling degree of freedom exploited by the protocol.  Composition
 is non-associative: the two association orders of three subsystems give
 isomorphic but distinct bases related by a recoupling move that acts as a
 relabeling except on the all-charge-1 block, where it is the 2x2 Hadamard
-``P_LEFT_TO_RIGHT`` (the general three-leaf tree engine that derives it is
-test code, in tests/test_ising_anyon.py).
+``P_LEFT_TO_RIGHT``.
 
 Protocol sector
 ---------------
@@ -31,6 +31,7 @@ The qubit encoding identifies |0> with pair charge labels (1, 0) and |1> with
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
@@ -38,21 +39,6 @@ import numpy as np
 
 from .statecore import EPS, dagger, partial_trace, tensor
 from .witness import LocalObservableSet, ProtocolTrace, purity, run_protocol
-
-#: Allowed total charges z for a fused pair (x, y) of charges in {0, 1, 2};
-#: symmetric in x, y.
-FUSION_OUTCOMES: dict[tuple[int, int], tuple[int, ...]] = {
-    (0, 0): (0,),
-    (0, 1): (1,),
-    (0, 2): (2,),
-    (1, 0): (1,),
-    (1, 1): (0, 2),
-    (1, 2): (1,),
-    (2, 0): (2,),
-    (2, 1): (1,),
-    (2, 2): (0,),
-}
-
 
 # ---------------------------------------------------------------------------
 # the restricted protocol sector
@@ -66,8 +52,8 @@ class Partition(Enum):
     RIGHT = "right"    # Q1 (M Q2), internal label h2
 
 
-# The internal coupling label: the charge of a fused (1, 1) pair.
-INTERNAL_VALUES = FUSION_OUTCOMES[(1, 1)]
+# The internal coupling label: the charges a fused (1, 1) pair can take.
+INTERNAL_VALUES = (0, 2)
 
 #: Sector basis labels in index order: (x1, x2, internal).
 SECTOR_BASIS: tuple[tuple[int, int, int], ...] = tuple(
@@ -86,31 +72,29 @@ def sector_index(x1: int, x2: int, internal: int) -> int:
 _NORM_TOL = 1e-9
 
 
+# eq=False: a generated __eq__ would compare the amplitude arrays.
+@dataclass(frozen=True, slots=True, eq=False)
 class AnyonState:
     """Unit-norm amplitude vector over the restricted sector, tagged by partition.
 
     Amplitudes from different partitions must never be mixed; every operation
-    that crosses association orders goes through ``change_partition``.
+    that crosses association orders goes through ``change_partition``.  The
+    state holds a read-only copy of the amplitudes it is given.
     """
 
-    __slots__ = ("shape", "amps")
+    shape: Partition
+    amps: np.ndarray
 
-    def __init__(self, shape: Partition, amps):
-        amps = np.asarray(amps, dtype=complex).reshape(-1)
+    def __post_init__(self):
+        amps = np.asarray(self.amps, dtype=complex).reshape(-1)
         if amps.shape != (SECTOR_DIM,):
             raise ValueError(f"bad-fusion-tree: sector state needs {SECTOR_DIM} amplitudes")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"state norm {norm} differs from 1")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "amps", amps.copy())
-        self.amps.setflags(write=False)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AnyonState is immutable")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        amps = amps.copy()
+        amps.setflags(write=False)
+        object.__setattr__(self, "amps", amps)
 
 
 _SQ2 = np.sqrt(2.0)
@@ -213,57 +197,41 @@ def trace_matter_to_mediator(state: AnyonState) -> np.ndarray:
 
 
 # SECTOR_BASIS orders the matter basis as the tensor product x1 (x) x2 (x) t.
-def trace_q2(matter_op: np.ndarray) -> np.ndarray:
-    """Reduce an (x1, x2, t) matter operator to the 2-dim x1 label space."""
-    return partial_trace(matter_op, [2, 2, 2], [0])
-
-
-def trace_q1(matter_op: np.ndarray) -> np.ndarray:
-    """Reduce an (x1, x2, t) matter operator to the 2-dim x2 label space."""
-    return partial_trace(matter_op, [2, 2, 2], [1])
+def qubit_marginal(matter_op: np.ndarray, sector: int) -> np.ndarray:
+    """Reduce an (x1, x2, t) matter operator to the 2-dim x label space of
+    matter qubit ``sector`` (1 or 2)."""
+    return partial_trace(matter_op, [2, 2, 2], [sector - 1])
 
 
 # ---------------------------------------------------------------------------
 # embedded matter observables (qubit encoding: |0> = charge pattern (1,0))
 
-
-def local_x() -> np.ndarray:
-    """Pair-charge flip |x=1><x=0| + h.c. on a single encoded qubit."""
-    return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-def local_z() -> np.ndarray:
-    """+1 on the x = 1 pattern (encoded |0>), -1 on x = 0 (encoded |1>)."""
-    return np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
+#: One encoded qubit's pair-charge flip |x=1><x=0| + h.c., and its Z: +1 on
+#: the x = 1 pattern (encoded |0>), -1 on x = 0 (encoded |1>).
+QUBIT_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+QUBIT_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
+QUBIT_X.setflags(write=False)
+QUBIT_Z.setflags(write=False)
 
 
-def _embed(op2: np.ndarray, sector: int) -> np.ndarray:
+def embed(op2: np.ndarray, sector: int) -> np.ndarray:
+    """A one-qubit operator on matter qubit ``sector`` (1 or 2), acting per
+    (other qubit, t) block of the matter sector."""
     eye = np.eye(2)
     return tensor(op2, eye, eye) if sector == 1 else tensor(eye, op2, eye)
 
 
-def embedded_x(sector: int) -> np.ndarray:
-    """Charge-pattern flip of one matter qubit, acting per (other, t) block."""
-    return _embed(local_x(), sector)
-
-
-def embedded_z(sector: int) -> np.ndarray:
-    return _embed(local_z(), sector)
-
-
-def matter_observable_set(sector: int) -> LocalObservableSet:
-    """Spanning set {1, X, Z, i[X, Z]/2} of one qubit's embedded local algebra."""
-    x = embedded_x(sector)
-    z = embedded_z(sector)
-    y = 0.5j * (x @ z - z @ x)
-    eye = np.eye(SECTOR_DIM, dtype=complex)
-    return LocalObservableSet(f"Q{sector}", (eye, x, z, y))
-
-
 @cache
 def pair_observable_sets() -> tuple[LocalObservableSet, LocalObservableSet]:
-    """Q1 and Q2, built once per process; read-only, so every run shares them."""
-    return matter_observable_set(1), matter_observable_set(2)
+    """The spanning sets {1, X, Z, i[X, Z]/2} of Q1's and Q2's embedded local
+    algebras, built once per process; read-only, so every run shares them."""
+    eye = np.eye(SECTOR_DIM, dtype=complex)
+    sets = []
+    for sector in (1, 2):
+        x, z = embed(QUBIT_X, sector), embed(QUBIT_Z, sector)
+        y = 0.5j * (x @ z - z @ x)
+        sets.append(LocalObservableSet(f"Q{sector}", (eye, x, z, y)))
+    return tuple(sets)
 
 
 # ---------------------------------------------------------------------------
@@ -278,36 +246,23 @@ def initial_protocol_state() -> AnyonState:
     return AnyonState(Partition.CENTER, amps)
 
 
-#: The protocol states shown for comparison: (name, checkpoint, partition).
-DISPLAYS = (
-    ("initial_center", 0, Partition.CENTER), ("initial_right", 0, Partition.RIGHT),
-    ("after_u_right", 1, Partition.RIGHT), ("after_u_left", 1, Partition.LEFT),
-    ("after_v_left", 2, Partition.LEFT), ("after_v_right", 2, Partition.RIGHT),
-    ("after_w_right", 3, Partition.RIGHT), ("final_center", 3, Partition.CENTER),
-)
-
-
 def run_anyon_protocol(eps: float = EPS) -> ProtocolTrace:
     """Entangle the two encoded matter qubits with a mediator that stays pure.
 
     Applies the system-local sequence U (in M Q2), V (in Q1 M), W (in M Q2) to
     the encoded |0> (x) |+> state.  Each checkpoint records the state in the
     partition its gate acts in, together with both reductions; the summary
-    carries the ``DISPLAYS`` of the states for amplitude-level comparison and
-    the mediator purity at every checkpoint.
+    carries the mediator purity at every checkpoint.
     """
     trace = run_protocol(
         "anyon",
         initial_protocol_state(),
         (("u_mq2", unitary_u_mq2), ("v_q1m", unitary_v_q1m), ("w_mq2", unitary_w_mq2)),
         lambda state: (trace_matter_to_mediator(state), trace_mediator(state)),
-        lambda matter: (trace_q2(matter), trace_q1(matter)),
-        (local_x(), embedded_x(1), embedded_x(2)),
+        lambda matter: (qubit_marginal(matter, 1), qubit_marginal(matter, 2)),
+        (QUBIT_X, embed(QUBIT_X, 1), embed(QUBIT_X, 2)),
         pair_observable_sets(),
         eps=eps,
     )
-    trace.summary["displays"] = {
-        name: change_partition(trace.steps[index].state, shape).amps for name, index, shape in DISPLAYS
-    }
     trace.summary["mediator_purities"] = [purity(step.mediator, eps) for step in trace.steps]
     return trace

@@ -241,7 +241,6 @@ def run_protocol(
         "x1_expect": float(np.real(np.trace(x_local @ rho_q1))),
         "x2_expect": float(np.real(np.trace(x_local @ rho_q2))),
         "x1x2_expect": float(np.real(np.trace(x1 @ x2 @ matter_final))),
-        "matter_purity": report.purity,
         "initial_report": uncorrelated_test(steps[0].matter, set_q1, set_q2, eps=eps),
     }
     return ProtocolTrace(model, steps, report, summary)

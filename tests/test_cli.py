@@ -1,6 +1,11 @@
 import csv
+import errno
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +213,54 @@ def test_write_failure_exits_3(capsys, tmp_path):
     target = tmp_path / "missing-dir" / "report.json"
     code, _, err = run_cli(capsys, ["run", "fermion", "--out", str(target)])
     assert code == EXIT_IO and "cannot write" in err
+
+
+class FailingStdout:
+    """A stdout on a file descriptor of its own whose every write raises."""
+
+    def __init__(self, exc: OSError, fd: int):
+        self.exc, self.fd = exc, fd
+
+    def write(self, text):
+        raise self.exc
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize(
+    "exc", [OSError(errno.ENOSPC, "No space left on device"), BrokenPipeError(errno.EPIPE, "Broken pipe")]
+)
+def test_stdout_write_failure_exits_3(capsys, monkeypatch, tmp_path, exc):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", FailingStdout(exc, fd))
+        code = main(["run", "fermion", "--format", "json"])
+        # the failed stream's descriptor now leads to the null device
+        assert os.fstat(fd).st_rdev == os.stat(os.devnull).st_rdev
+    finally:
+        os.close(fd)
+    err = capsys.readouterr().err
+    assert code == EXIT_IO and err == f"error: cannot write report: {exc}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+def test_full_stdout_exits_3_without_a_traceback():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "bmvsim.cli", "run", "fermion", "--format", "json"],
+            stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    assert done.returncode == EXIT_IO
+    assert "Traceback" not in done.stderr and "cannot write report" in done.stderr
 
 
 def test_crash_raises_and_is_not_a_mismatch(capsys, monkeypatch):

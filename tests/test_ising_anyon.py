@@ -4,32 +4,31 @@ import numpy as np
 import pytest
 
 from bmvsim import ising_anyon
+from bmvsim.acceptance import ANYON_DISPLAYS
 from bmvsim.ising_anyon import (
-    FUSION_OUTCOMES,
+    INTERNAL_VALUES,
     P_LEFT_TO_RIGHT,
+    QUBIT_X,
+    QUBIT_Z,
     AnyonState,
     Partition,
     SECTOR_BASIS,
     SECTOR_DIM,
     change_partition,
-    embedded_x,
-    embedded_z,
+    embed,
     initial_protocol_state,
-    local_x,
-    matter_observable_set,
     pair_observable_sets,
     partition_matrix,
+    qubit_marginal,
     run_anyon_protocol,
     sector_index,
     trace_matter_to_mediator,
     trace_mediator,
-    trace_q1,
-    trace_q2,
     unitary_u_mq2,
     unitary_v_q1m,
     unitary_w_mq2,
 )
-from bmvsim.statecore import EPS, commutator, dagger, dyad, mat_close, random_state
+from bmvsim.statecore import EPS, commutator, dagger, dyad, mat_close, random_state, tensor
 from test_statecore import is_unitary, random_unitary
 
 SQ2 = np.sqrt(2.0)
@@ -41,6 +40,20 @@ SHAPES = (Partition.CENTER, Partition.LEFT, Partition.RIGHT)
 # the hand-pinned partition matrices of the protocol sector are checked against
 
 CHARGES = (0, 1, 2)
+
+#: Allowed total charges z for a fused pair (x, y) of charges in {0, 1, 2};
+#: symmetric in x, y.
+FUSION_OUTCOMES: dict[tuple[int, int], tuple[int, ...]] = {
+    (0, 0): (0,),
+    (0, 1): (1,),
+    (0, 2): (2,),
+    (1, 0): (1,),
+    (1, 1): (0, 2),
+    (1, 2): (1,),
+    (2, 0): (2,),
+    (2, 1): (1,),
+    (2, 2): (0,),
+}
 
 
 def fusion_outcomes(x: int, y: int) -> tuple[int, ...]:
@@ -162,6 +175,11 @@ def test_fusion_table():
         fusion_outcomes(3, 0)
 
 
+def test_internal_label_takes_the_fusion_outcomes_of_a_charge_1_pair():
+    assert INTERNAL_VALUES == FUSION_OUTCOMES[(1, 1)]
+    assert [u for _, _, u in SECTOR_BASIS] == list(INTERNAL_VALUES) * 4
+
+
 def test_fusion_table_is_symmetric():
     for x in (0, 1, 2):
         for y in (0, 1, 2):
@@ -255,7 +273,7 @@ def test_change_partition_round_trip():
         state = AnyonState(Partition.CENTER, random_state(SECTOR_DIM, rng))
         back = change_partition(change_partition(change_partition(state, Partition.RIGHT), Partition.LEFT), Partition.CENTER)
         assert mat_close(back.amps, state.amps, EPS)
-        assert abs(change_partition(state, Partition.LEFT).norm() - 1.0) <= 1e-9
+        assert abs(np.linalg.norm(change_partition(state, Partition.LEFT).amps) - 1.0) <= 1e-9
 
 
 def test_initial_state_in_right_partition():
@@ -275,6 +293,20 @@ def test_states_are_immutable_and_validated():
         AnyonState(Partition.CENTER, np.ones(SECTOR_DIM))
     with pytest.raises(ValueError):
         AnyonState(Partition.CENTER, np.ones(5))
+
+
+def test_state_holds_a_read_only_copy_and_compares_by_identity():
+    amps = np.zeros(SECTOR_DIM, dtype=complex)
+    amps[0] = 1.0
+    state = AnyonState(Partition.CENTER, amps)
+    with pytest.raises(AttributeError):
+        state.amps = amps
+    with pytest.raises(ValueError):
+        state.amps[0] = 0.5
+    amps[0] = 0.5
+    assert state.amps[0] == 1.0 and state.amps is not amps
+    twin = AnyonState(Partition.CENTER, state.amps)
+    assert state == state and state != twin
 
 
 def test_unitary_u_phases_on_basis_states():
@@ -353,21 +385,23 @@ def test_trace_matter_to_mediator():
         assert abs(np.trace(step.mediator) - 1.0) <= EPS
 
 
+# The trace over Q2 keeps qubit 1, the trace over Q1 qubit 2.
 def test_trace_q2_of_bell_encoding():
     rho = dyad(bell_matter_state())
-    assert mat_close(trace_q2(rho), np.eye(2) / 2, EPS)
-    assert mat_close(trace_q1(rho), np.eye(2) / 2, EPS)
+    assert mat_close(qubit_marginal(rho, 1), np.eye(2) / 2, EPS)
+    assert mat_close(qubit_marginal(rho, 2), np.eye(2) / 2, EPS)
 
 
 def test_trace_q2_drops_mismatched_far_labels():
     op = np.zeros((SECTOR_DIM, SECTOR_DIM), dtype=complex)
     op[sector_index(0, 0, 0), sector_index(1, 1, 0)] = 1.0   # x2 mismatch
-    assert mat_close(trace_q2(op), np.zeros((2, 2)), EPS)
+    assert mat_close(qubit_marginal(op, 1), np.zeros((2, 2)), EPS)
     op2 = np.zeros((SECTOR_DIM, SECTOR_DIM), dtype=complex)
     op2[sector_index(0, 0, 0), sector_index(1, 0, 2)] = 1.0  # coupling-label mismatch
-    assert mat_close(trace_q2(op2), np.zeros((2, 2)), EPS)
+    assert mat_close(qubit_marginal(op2, 1), np.zeros((2, 2)), EPS)
+    assert mat_close(qubit_marginal(op2, 2), np.zeros((2, 2)), EPS)
     with pytest.raises(ValueError, match="bad-partition"):
-        trace_q2(np.eye(4))
+        qubit_marginal(np.eye(4), 1)
 
 
 def test_trace_q2_product_dyad_and_trace_preservation():
@@ -375,20 +409,22 @@ def test_trace_q2_product_dyad_and_trace_preservation():
     for _ in range(25):
         state = AnyonState(Partition.CENTER, random_state(SECTOR_DIM, rng))
         rho = trace_mediator(state)
-        assert abs(np.trace(trace_q2(rho)) - np.trace(rho)) <= 1e-9
+        for sector in (1, 2):
+            assert abs(np.trace(qubit_marginal(rho, sector)) - np.trace(rho)) <= 1e-9
     # product state: marginal times trace
     prod = _state({(1, 1, 0): 0.6, (0, 1, 0): 0.8})
-    rho1 = trace_q2(dyad(prod.amps))
+    rho1 = qubit_marginal(dyad(prod.amps), 1)
     expect = np.array([[0.64, 0.48], [0.48, 0.36]], dtype=complex)
     assert mat_close(rho1, expect, 1e-9)
+    assert mat_close(qubit_marginal(dyad(prod.amps), 2), np.diag([0.0, 1.0]), 1e-9)
 
 
 def test_embedded_observables_do_not_commute():
-    x1, z1 = embedded_x(1), embedded_z(1)
+    x1, z1 = embed(QUBIT_X, 1), embed(QUBIT_Z, 1)
     assert np.max(np.abs(commutator(x1, z1))) > 0.1
     # but observables of different sectors commute
-    assert np.max(np.abs(commutator(x1, embedded_x(2)))) <= EPS
-    assert np.max(np.abs(commutator(z1, embedded_z(2)))) <= EPS
+    assert np.max(np.abs(commutator(x1, embed(QUBIT_X, 2)))) <= EPS
+    assert np.max(np.abs(commutator(z1, embed(QUBIT_Z, 2)))) <= EPS
 
 
 def test_trace_mediator_commutes_with_matter_unitaries():
@@ -409,7 +445,11 @@ def test_trace_mediator_commutes_with_matter_unitaries():
 
 def test_protocol_displays_match_pinned_expansions():
     trace = run_anyon_protocol()
-    d = trace.summary["displays"]
+    d = {name: change_partition(trace.steps[index].state, shape).amps for name, (index, shape, _) in ANYON_DISPLAYS.items()}
+    # the pinned table says what these expansions say
+    for name, (_, _, pinned) in ANYON_DISPLAYS.items():
+        assert mat_close(d[name], pinned, EPS), name
+    assert mat_close(d["initial_center"], initial_protocol_state().amps, EPS)
     assert mat_close(d["initial_right"], _state({(1, 1, 0): 0.5, (1, 1, 2): -0.5j, (1, 0, 0): 0.5, (1, 0, 2): -0.5j}, Partition.RIGHT).amps, EPS)
     assert mat_close(d["after_u_right"], _state({(1, 1, 0): 0.5, (1, 1, 2): 0.5, (1, 0, 0): 0.5, (1, 0, 2): -0.5}, Partition.RIGHT).amps, EPS)
     assert mat_close(d["after_u_left"], _state({(1, 1, 0): 1 / SQ2, (1, 0, 2): 1 / SQ2}, Partition.LEFT).amps, EPS)
@@ -435,14 +475,13 @@ def test_protocol_observable_sets_are_shared_read_only_constants(monkeypatch):
     assert pair_observable_sets() is pair_observable_sets()
     for got, sector in ((q1, 1), (q2, 2)):
         assert got.subsystem == f"Q{sector}"
-        assert np.array_equal(got.matrices, matter_observable_set(sector).matrices)
         assert not got.matrices.flags.writeable
+    assert not QUBIT_X.flags.writeable and not QUBIT_Z.flags.writeable
 
     def refuse(*args):
         raise AssertionError("the protocol built its observable sets again")
 
-    monkeypatch.setattr(ising_anyon, "matter_observable_set", refuse)
-    monkeypatch.setattr(ising_anyon, "embedded_z", refuse)
+    monkeypatch.setattr(ising_anyon, "LocalObservableSet", refuse)
     trace = run_anyon_protocol()
     assert trace.report.entangled
     assert trace.report.correlations.expect_product.shape == (len(q1), len(q2))
@@ -450,11 +489,26 @@ def test_protocol_observable_sets_are_shared_read_only_constants(monkeypatch):
 
 
 def test_matter_observable_set_shapes():
-    for sector in (1, 2):
-        s = matter_observable_set(sector)
+    for s in pair_observable_sets():
         assert len(s) == 4
         for m in s.matrices:
             assert m.shape == (SECTOR_DIM, SECTOR_DIM)
-    # the x1 expectation through the embedded form matches the local form
-    rho = dyad(bell_matter_state())
-    assert abs(np.trace(embedded_x(1) @ rho) - np.trace(local_x() @ trace_q2(rho))) <= EPS
+    # each qubit's x expectation through the embedded form matches the local form
+    rho = dyad(_state({(1, 1, 0): 0.6, (0, 1, 0): 0.8}).amps)
+    for sector in (1, 2):
+        assert abs(np.trace(embed(QUBIT_X, sector) @ rho) - np.trace(QUBIT_X @ qubit_marginal(rho, sector))) <= EPS
+
+
+def test_pair_observable_sets_equal_tensor_builds():
+    # the sets are the tensor builds of {1, X, Z, i[X, Z]/2} bit for bit, signed zeros included
+    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
+    eye2, eye8 = np.eye(2), np.eye(SECTOR_DIM, dtype=complex)
+    builds = []
+    for place in (lambda op: tensor(op, eye2, eye2), lambda op: tensor(eye2, op, eye2)):
+        xs, zs = place(x), place(z)
+        builds.append(np.array([eye8, xs, zs, 0.5j * (xs @ zs - zs @ xs)]))
+    for got, want in zip(pair_observable_sets(), builds, strict=True):
+        assert np.array_equal(got.matrices, want)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(got.matrices)), np.signbit(part(want)))

@@ -16,7 +16,7 @@ from bmvsim.ising_anyon import (
     SECTOR_DIM,
     AnyonState,
     Partition,
-    matter_observable_set,
+    pair_observable_sets,
     sector_index,
     trace_mediator,
 )
@@ -420,7 +420,7 @@ def test_anyon_witness_agrees_with_schmidt_rank_on_random_states(entangled):
     # a sector state with one coupling label t has a pure matter reduction:
     # the (x1, x2) qubit pair psi, tensored with |t>
     rng = np.random.default_rng(520 + entangled)
-    set_a, set_b = matter_observable_set(1), matter_observable_set(2)
+    set_a, set_b = pair_observable_sets()
     for _ in range(8):
         if entangled:
             psi = _random_ket(rng, 4)
@@ -517,10 +517,9 @@ def test_observable_set_holds_a_read_only_copy():
 
 def test_observable_sets_commute_with_their_complement():
     # locality of the embedded sets: every A commutes with every B
-    from bmvsim.ising_anyon import matter_observable_set
     from bmvsim.statecore import commutator
 
-    pairs = [_fermion_sets(), (matter_observable_set(1), matter_observable_set(2))]
+    pairs = [_fermion_sets(), pair_observable_sets()]
     pairs.append(
         (
             LocalObservableSet("Q1", tuple(tensor(h, np.eye(4)) for h in hermitian_basis(4)[:6])),
