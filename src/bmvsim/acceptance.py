@@ -53,9 +53,9 @@ _SQ2 = np.sqrt(2.0)
 
 
 def fermion_expected_mediator_sequence() -> list[np.ndarray]:
-    empty = np.diag([0.0, 1.0]).astype(complex)
+    occupied = np.diag([0.0, 1.0]).astype(complex)
     mixed = np.diag([0.5, 0.5]).astype(complex)
-    return [empty, mixed, mixed, empty]
+    return [occupied, mixed, mixed, occupied]
 
 
 def fermion_expected_matter_state() -> np.ndarray:
@@ -203,14 +203,6 @@ def model_checks(trace: ProtocolTrace, eps: float = EPS) -> list[dict]:
 # the eleven acceptance criteria
 
 
-def _table(ctx: dict, model: str, eps: float) -> dict[str, Row]:
-    """The model's rows by name, from one protocol run per ``run_all``."""
-    if model not in ctx:
-        trace = RUNNERS[model](eps=eps)
-        ctx[model] = trace, {row.name: row for row in model_rows(trace)}
-    return ctx[model][1]
-
-
 def _group(rows: dict[str, Row], prefix: str) -> list[Row]:
     """The rows named ``prefix[...]``, one per checkpoint or display."""
     return [row for name, row in rows.items() if name.startswith(prefix + "[")]
@@ -220,25 +212,25 @@ def _passes(eps: float, *rows: Row) -> bool:
     return all(row.passes(eps) for row in rows)
 
 
-def _crit_fermion_correlations(eps, ctx):
-    rows = _table(ctx, "fermion", eps)
+def _crit_fermion_correlations(eps, tables, traces):
+    rows = tables["fermion"]
     x1, x2, x1x2 = rows["x1_expect"], rows["x2_expect"], rows["x1x2_expect"]
     detail = f"<X1>={x1.computed:.3g} <X2>={x2.computed:.3g} <X1.X2>={x1x2.computed:.12g}"
     return _passes(eps, x1, x2, x1x2), detail
 
 
-def _crit_fermion_mediator(eps, ctx):
-    mediator = _group(_table(ctx, "fermion", eps), "mediator")
+def _crit_fermion_mediator(eps, tables, traces):
+    mediator = _group(tables["fermion"], "mediator")
     return _passes(eps, *mediator), f"max deviation {max(row.deviation() for row in mediator):.3g}"
 
 
-def _crit_fermion_marginals(eps, ctx):
-    rows = _table(ctx, "fermion", eps)
+def _crit_fermion_marginals(eps, tables, traces):
+    rows = tables["fermion"]
     ok = _passes(eps, rows["rho_q1"], rows["rho_q2"])
     return ok, "rho_Q1 = rho_Q2 = I/4" if ok else "marginal deviates from I/4"
 
 
-def _crit_observable_counting(eps, ctx):
+def _crit_observable_counting(eps, tables, traces):
     rows = fer.count_scaling_check(4)
     counts_ok = all(match for *_, match in rows)
     sets = {
@@ -277,12 +269,12 @@ def span_check(eps: float = EPS) -> tuple[bool, float, bool]:
     return decomposable, residual, (not decomposable) and residual > _SPAN_GAP_MIN and pinned
 
 
-def _crit_nondecomposability(eps, ctx):
+def _crit_nondecomposability(eps, tables, traces):
     _, residual, ok = span_check(eps)
     return ok, f"residual {residual:.12g} (pinned {EXPECTED_SPAN_RESIDUAL})"
 
 
-def _crit_anyon_recoupling(eps, ctx):
+def _crit_anyon_recoupling(eps, tables, traces):
     p_lr = ia.partition_matrix(ia.Partition.LEFT, ia.Partition.RIGHT)
     p_cr = ia.partition_matrix(ia.Partition.CENTER, ia.Partition.RIGHT)
     ok = mat_close(p_lr, ia.P_LEFT_TO_RIGHT, eps) and mat_close(p_cr, ia.P_CENTER_TO_RIGHT, eps)
@@ -297,8 +289,8 @@ def _crit_anyon_recoupling(eps, ctx):
     return ok and worst <= eps, f"matrices match, worst loop deviation {worst:.3g}"
 
 
-def _crit_anyon_protocol(eps, ctx):
-    rows = _table(ctx, "anyon", eps)
+def _crit_anyon_protocol(eps, tables, traces):
+    rows = tables["anyon"]
     displays = _group(rows, "display")
     names = ("final_matter", "x1_expect", "x2_expect", "x1x2_expect")
     ok = _passes(eps, *displays, *(rows[name] for name in names))
@@ -306,15 +298,15 @@ def _crit_anyon_protocol(eps, ctx):
     return ok, f"display deviation {dev:.3g}, <X1.X2>={rows['x1x2_expect'].computed:.12g}"
 
 
-def _crit_anyon_mediator_purity(eps, ctx):
-    rows = _table(ctx, "anyon", eps)
+def _crit_anyon_mediator_purity(eps, tables, traces):
+    rows = tables["anyon"]
     purities = _group(rows, "mediator_purity")
     ok = _passes(eps, *_group(rows, "mediator"), *purities)
     return ok, f"purities {[f'{row.computed:.12g}' for row in purities]}"
 
 
-def _crit_bit_antibit(eps, ctx):
-    rows = _table(ctx, "bitantibit", eps)
+def _crit_bit_antibit(eps, tables, traces):
+    rows = tables["bitantibit"]
     names = ("final_matter", "mediator_end", "all_steps_valid", "x1_expect*x2_expect", "x1x2_expect")
     ok = _passes(eps, *(rows[name] for name in names))
     for k in (3, 4):
@@ -324,15 +316,14 @@ def _crit_bit_antibit(eps, ctx):
     return ok, f"<X1><X2>={x1_x2:.3g} vs <X1xX2>={x1x2:.12g}; k=3,4 agree"
 
 
-def _crit_witness_coherence(eps, ctx):
+def _crit_witness_coherence(eps, tables, traces):
     details = []
     ok = True
-    for model in RUNNERS:
-        rows = _table(ctx, model, eps)
+    for model, rows in tables.items():
         initial_ok, final_ok = rows["initial_uncorrelated"].computed, rows["final_entangled"].computed
         ok = ok and initial_ok and final_ok
         details.append(f"{model}: initial uncorrelated={initial_ok}, final entangled={final_ok}")
-    trace = ctx["bitantibit"][0]
+    trace = traces["bitantibit"]
     for label, matter, expect_entangled in (
         ("initial", trace.steps[0].matter, False),
         ("final", trace.steps[-1].matter, True),
@@ -346,7 +337,7 @@ def _crit_witness_coherence(eps, ctx):
     return ok, "; ".join(details)
 
 
-def _crit_property_suites(eps, ctx):
+def _crit_property_suites(eps, tables, traces):
     rng = np.random.default_rng(20240817)
     failures = []
 
@@ -408,10 +399,12 @@ CRITERIA = (
 
 def run_all(eps: float = EPS) -> list[dict]:
     """The ``criteria`` rows of the verify-all report, one per acceptance
-    criterion."""
-    ctx: dict = {}
+    criterion.  Each model's protocol runs once, before any criterion, and
+    the criteria read its trace and its rows by name."""
+    traces = {model: runner(eps=eps) for model, runner in RUNNERS.items()}
+    tables = {model: {row.name: row for row in model_rows(trace)} for model, trace in traces.items()}
     results = []
     for index, name, fn in CRITERIA:
-        passed, detail = fn(eps, ctx)
+        passed, detail = fn(eps, tables, traces)
         results.append({"index": index, "name": name, "pass": bool(passed), "detail": detail})
     return results

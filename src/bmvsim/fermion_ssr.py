@@ -73,18 +73,9 @@ def vacuum_state(n: int) -> np.ndarray:
     return v
 
 
-# (-1)^(number of set bits) of every byte value.
-_BYTE_SIGNS = np.array([(-1.0) ** bin(b).count("1") for b in range(256)])
-
-
 def _parity_signs(values: np.ndarray) -> np.ndarray:
-    """(-1)^(number of set bits) of each nonnegative integer, byte by byte."""
-    signs = _BYTE_SIGNS[values & 0xFF]
-    values = values >> 8
-    while values.any():
-        signs = signs * _BYTE_SIGNS[values & 0xFF]
-        values = values >> 8
-    return signs
+    """(-1)^(number of set bits) of each nonnegative integer, as float64."""
+    return 1.0 - 2.0 * (np.bitwise_count(values) & 1)
 
 
 def annihilator_matrix(n: int, j: int) -> np.ndarray:

@@ -66,11 +66,10 @@ def is_density(m: np.ndarray, eps: float = EPS) -> bool:
     return bool(np.min(np.linalg.eigvalsh(m)) >= -eps)
 
 
-def dyad(v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-    """|v><w| as a matrix (w defaults to v)."""
+def dyad(v: np.ndarray) -> np.ndarray:
+    """|v><v| as a matrix."""
     v = np.asarray(v, dtype=complex)
-    w = v if w is None else np.asarray(w, dtype=complex)
-    return np.outer(v, w.conj())
+    return np.outer(v, v.conj())
 
 
 def tensor(*ops: np.ndarray) -> np.ndarray:

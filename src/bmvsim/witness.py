@@ -78,12 +78,11 @@ class WitnessReport:
     rhs: float
     max_violation: float
     correlations: CorrelationTable
-    eps: float
 
     @property
     def entangled(self) -> bool:
-        """Pure and not uncorrelated, at the tolerance the report was made with."""
-        return close(self.purity, 1.0, self.eps) and not self.uncorrelated
+        """Not uncorrelated: a report exists only for a pure state."""
+        return not self.uncorrelated
 
 
 @dataclass
@@ -125,17 +124,18 @@ def purity(rho: np.ndarray, eps: float = EPS) -> float:
 
 
 def uncorrelated_test(
-    state: np.ndarray,
+    rho: np.ndarray,
     set_a: LocalObservableSet,
     set_b: LocalObservableSet,
     eps: float = EPS,
 ) -> WitnessReport:
     """Check the factorization of expectations over all observable pairs.
 
-    ``state`` is a pure state, given either as a vector or as a density
-    operator with purity 1 (within eps); mixed inputs raise ``not-pure``,
-    observables of another dimension ``bad-partition`` and an eps below
-    ``EPS_MIN``, where rounding decides the verdict, ``bad-eps``.
+    ``rho`` is the density operator of a pure state: an input that is not a
+    density operator raises ``not-density``, one with purity other than 1
+    (within eps) ``not-pure``, observables of another dimension
+    ``bad-partition`` and an eps below ``EPS_MIN``, where rounding decides
+    the verdict, ``bad-eps``.
     The joint observable of a pair is the matrix product A B; the table is
     computed one A at a time, all of B in one stacked product, each entry the
     trace of one (A B) rho, and held as float64 arrays.  The report flags the
@@ -145,17 +145,8 @@ def uncorrelated_test(
     """
     if not eps >= EPS_MIN:
         raise ValueError(f"bad-eps: eps {eps:g} is below the rounding bound {EPS_MIN:g}")
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        nrm = np.linalg.norm(state)
-        if not close(nrm, 1.0, eps):
-            raise ValueError("not-pure: state vector is not normalized")
-        rho = np.outer(state, state.conj())
-    else:
-        rho = state
-    if not is_density(rho, eps):
-        raise ValueError("not-pure: input is not a density operator")
-    p = float(np.real(np.trace(rho @ rho)))
+    rho = np.asarray(rho, dtype=complex)
+    p = purity(rho, eps)
     if not close(p, 1.0, eps):
         raise ValueError(f"not-pure: purity {p} differs from 1")
 
@@ -182,7 +173,7 @@ def uncorrelated_test(
         best += 1 + int(np.argmax(later))
     max_violation = float(violations[best]) if violations.size else 0.0
     if max_violation <= eps:
-        return WitnessReport(p, True, None, 0.0, 0.0, max_violation, table, eps)
+        return WitnessReport(p, True, None, 0.0, 0.0, max_violation, table)
     i, j = divmod(best, len(expect_b))
     return WitnessReport(
         purity=p,
@@ -192,7 +183,6 @@ def uncorrelated_test(
         rhs=float(table.expect_product[i, j]),
         max_violation=max_violation,
         correlations=table,
-        eps=eps,
     )
 
 
@@ -218,11 +208,12 @@ def run_protocol(
     """Apply ``gates`` to ``initial``, reducing each checkpoint, and certify
     the final matter state.
 
-    ``gates`` yields (label, state -> state) pairs one at a time, so a gate
-    matrix built inside a call is freed before the next.  ``reduce`` maps a
-    state to (mediator, matter), ``marginals`` the final matter to (rho_Q1,
-    rho_Q2); ``x_observables`` is (X of one qubit, X1, X2 embedded in the
-    matter space).  Models add their own entries to the summary.
+    ``gates`` yields (label, state -> state) pairs; a gate acts on the
+    amplitudes directly (an index permutation, or an anyon phase or swap in
+    one partition) and builds no matrix.  ``reduce`` maps a state to
+    (mediator, matter), ``marginals`` the final matter to (rho_Q1, rho_Q2);
+    ``x_observables`` is (X of one qubit, X1, X2 embedded in the matter
+    space).  Models add their own entries to the summary.
     """
     steps = [ProtocolStep("initial", initial, *reduce(initial))]
     state = initial

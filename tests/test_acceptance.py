@@ -11,6 +11,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from bmvsim import acceptance
 from bmvsim.acceptance import (
     ANYON_DISPLAYS,
     EXPECTED_SPAN_RESIDUAL,
@@ -243,3 +244,23 @@ def test_packaged_runner_agrees_and_is_fast():
     for r in results:
         assert r["pass"], f"verify-all criterion {r['index']} ({r['name']}): {r['detail']}"
     assert elapsed < 5.0, f"verify-all took {elapsed:.2f}s"
+
+
+def test_verify_all_runs_each_protocol_once(monkeypatch):
+    # every criterion reads the one run of each model; only criterion 9 runs
+    # bit/anti-bit again, at its larger mediators
+    calls = []
+
+    def counted(model, runner):
+        def run(*args, **kwargs):
+            calls.append((model, args))
+            return runner(*args, **kwargs)
+
+        return run
+
+    for model, runner in list(acceptance.RUNNERS.items()):
+        monkeypatch.setitem(acceptance.RUNNERS, model, counted(model, runner))
+    assert all(r["pass"] for r in run_all(EPS))
+    # bit/anti-bit with no arguments is its default mediator, k = 2
+    expected = [("fermion", ()), ("anyon", ()), ("bitantibit", ()), ("bitantibit", (3,)), ("bitantibit", (4,))]
+    assert sorted(calls) == sorted(expected)

@@ -277,7 +277,7 @@ def test_crash_raises_and_is_not_a_mismatch(capsys, monkeypatch):
 
 def test_crashing_criterion_raises_out_of_verify_all(capsys, monkeypatch):
     # a criterion that raises is not a failed row: verify-all follows run
-    def boom(eps, ctx):
+    def boom(eps, tables, traces):
         raise ValueError("bad-partition: planted fault")
 
     criteria = list(acceptance.CRITERIA)

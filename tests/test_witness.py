@@ -81,7 +81,7 @@ def _fermion_states():
     vac = vacuum_state(4)
     initial = 0.5 * ((c[1] + c[2]) @ (c[3] + c[4]) @ vac)
     final = 0.5 * ((c[1] + c[3]) @ (c[2] + c[4]) @ vac)
-    return initial, final
+    return dyad(initial), dyad(final)
 
 
 def _fermion_sets():
@@ -117,8 +117,9 @@ def test_uncorrelated_test_rejects_mixed_states():
     a, b = _fermion_sets()
     with pytest.raises(ValueError, match="not-pure"):
         uncorrelated_test(np.eye(16) / 16, a, b)
-    with pytest.raises(ValueError, match="not-pure"):
-        uncorrelated_test(np.ones(16, dtype=complex), a, b)
+    # the test takes a density operator, not a state vector
+    with pytest.raises(ValueError, match="not-density"):
+        uncorrelated_test(np.ones(16, dtype=complex) / 4, a, b)
 
 
 def test_initial_fermion_state_is_uncorrelated():
@@ -157,7 +158,7 @@ def test_product_basis_state_is_uncorrelated():
     state[0b0110] = 1.0
     a = LocalObservableSet("A", tuple(tensor(h, np.eye(4)) for h in hermitian_basis(4)))
     b = LocalObservableSet("B", tuple(tensor(np.eye(4), h) for h in hermitian_basis(4)))
-    report = uncorrelated_test(state, a, b)
+    report = uncorrelated_test(dyad(state), a, b)
     assert report.uncorrelated
 
 
@@ -314,7 +315,7 @@ def test_non_real_product_expectation_raises():
     z = np.diag([1.0, -1.0]).astype(complex)
     y_plus = np.array([1, 1j]) / np.sqrt(2)
     with pytest.raises(ValueError, match="expectation value is not real"):
-        uncorrelated_test(y_plus, LocalObservableSet("A", (x,)), LocalObservableSet("B", (np.eye(2), z)))
+        uncorrelated_test(dyad(y_plus), LocalObservableSet("A", (x,)), LocalObservableSet("B", (np.eye(2), z)))
 
 
 def test_bit_antibit_verdict_matches_schmidt_oracle():
@@ -341,8 +342,8 @@ def test_eps_below_eps_min_is_refused():
     # below EPS_MIN a rounding-size deviation would decide the verdict
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     with pytest.raises(ValueError, match="bad-eps"):
-        uncorrelated_test(bell, *pauli_pair_sets(), eps=1e-16)
-    assert uncorrelated_test(bell, *pauli_pair_sets(), eps=EPS_MIN).entangled
+        uncorrelated_test(dyad(bell), *pauli_pair_sets(), eps=1e-16)
+    assert uncorrelated_test(dyad(bell), *pauli_pair_sets(), eps=EPS_MIN).entangled
 
 
 def test_entangled_verdict_uses_the_callers_eps():
@@ -376,7 +377,7 @@ def test_fermion_witness_agrees_with_schmidt_rank_on_random_states(terms):
         state = state / np.linalg.norm(state)
         rank = schmidt_rank(state, 4, 4)
         assert rank == (1 if terms == 1 else 2)
-        report = uncorrelated_test(state, set_a, set_b)
+        report = uncorrelated_test(dyad(state), set_a, set_b)
         assert report.uncorrelated == (rank == 1)
         assert report.entangled == (rank == 2)
 
@@ -410,7 +411,7 @@ def test_bit_antibit_witness_agrees_with_schmidt_rank_on_random_states(terms):
         assert validate_state(sig, state)[0]
         rank = schmidt_rank(state, 4, 4)
         assert rank == (1 if terms == 1 else 2)
-        report = uncorrelated_test(state, set_a, set_b)
+        report = uncorrelated_test(dyad(state), set_a, set_b)
         assert report.uncorrelated == (rank == 1)
         assert report.entangled == (rank == 2)
 
