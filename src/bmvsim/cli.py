@@ -189,7 +189,7 @@ def build_run_report(trace: ProtocolTrace, eps: float, trace_steps: bool) -> dic
         "model": trace.model,
         "steps": steps,
         "mediator_states": np.stack([step.mediator for step in trace.steps]),
-        "marginals": {"rho_q1": trace.summary["rho_q1"], "rho_q2": trace.summary["rho_q2"]},
+        "marginals": {"rho_q1": trace.marginals[0], "rho_q2": trace.marginals[1]},
         "witness": _witness_dict(trace.report),
         "expected": checks,
         "pass": all(c["pass"] for c in checks),

@@ -342,7 +342,6 @@ def run_fermion_protocol(eps: float = EPS) -> ProtocolTrace:
             fermionic_partial_trace(matter, 4, (3, 4)),
             fermionic_partial_trace(matter, 4, (1, 2)),
         ),
-        (hopping_observable(2, 1, 2), hopping_observable(4, 1, 2), hopping_observable(4, 3, 4)),
         pair_observable_sets(),
         eps=eps,
     )

@@ -38,7 +38,7 @@ from functools import cache
 import numpy as np
 
 from .statecore import EPS, dagger, partial_trace, tensor
-from .witness import LocalObservableSet, ProtocolTrace, purity, run_protocol
+from .witness import LocalObservableSet, ProtocolTrace, run_protocol
 
 # ---------------------------------------------------------------------------
 # the restricted protocol sector
@@ -251,18 +251,14 @@ def run_anyon_protocol(eps: float = EPS) -> ProtocolTrace:
 
     Applies the system-local sequence U (in M Q2), V (in Q1 M), W (in M Q2) to
     the encoded |0> (x) |+> state.  Each checkpoint records the state in the
-    partition its gate acts in, together with both reductions; the summary
-    carries the mediator purity at every checkpoint.
+    partition its gate acts in, together with both reductions.
     """
-    trace = run_protocol(
+    return run_protocol(
         "anyon",
         initial_protocol_state(),
         (("u_mq2", unitary_u_mq2), ("v_q1m", unitary_v_q1m), ("w_mq2", unitary_w_mq2)),
         lambda state: (trace_matter_to_mediator(state), trace_mediator(state)),
         lambda matter: (qubit_marginal(matter, 1), qubit_marginal(matter, 2)),
-        (QUBIT_X, embed(QUBIT_X, 1), embed(QUBIT_X, 2)),
         pair_observable_sets(),
         eps=eps,
     )
-    trace.summary["mediator_purities"] = [purity(step.mediator, eps) for step in trace.steps]
-    return trace

@@ -16,7 +16,7 @@ embeddings, which for a (x) 1 and 1 (x) b is the tensor composition a (x) b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -85,7 +85,7 @@ class WitnessReport:
         return not self.uncorrelated
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolStep:
     """One checkpoint of a mediation protocol."""
 
@@ -95,12 +95,16 @@ class ProtocolStep:
     matter: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolTrace:
+    """What one protocol run computed: its checkpoints, the witness reports of the
+    final and the initial matter, and the final matter's marginals (rho_Q1, rho_Q2)."""
+
     model: str
-    steps: list[ProtocolStep]
+    steps: tuple[ProtocolStep, ...]
     report: WitnessReport
-    summary: dict = field(default_factory=dict)
+    initial_report: WitnessReport
+    marginals: tuple[np.ndarray, np.ndarray]
 
 
 def _real(vals: np.ndarray) -> np.ndarray:
@@ -201,19 +205,16 @@ def run_protocol(
     gates: Iterable[tuple[str, Callable]],
     reduce: Callable,
     marginals: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    x_observables: tuple[np.ndarray, np.ndarray, np.ndarray],
     observable_sets: tuple[LocalObservableSet, LocalObservableSet],
     eps: float = EPS,
 ) -> ProtocolTrace:
     """Apply ``gates`` to ``initial``, reducing each checkpoint, and certify
-    the final matter state.
+    the initial and the final matter state.
 
     ``gates`` yields (label, state -> state) pairs; a gate acts on the
     amplitudes directly (an index permutation, or an anyon phase or swap in
     one partition) and builds no matrix.  ``reduce`` maps a state to
-    (mediator, matter), ``marginals`` the final matter to (rho_Q1, rho_Q2);
-    ``x_observables`` is (X of one qubit, X1, X2 embedded in the matter
-    space).  Models add their own entries to the summary.
+    (mediator, matter), ``marginals`` the final matter to (rho_Q1, rho_Q2).
     """
     steps = [ProtocolStep("initial", initial, *reduce(initial))]
     state = initial
@@ -222,16 +223,7 @@ def run_protocol(
         steps.append(ProtocolStep(label, state, *reduce(state)))
 
     matter_final = steps[-1].matter
-    rho_q1, rho_q2 = marginals(matter_final)
-    x_local, x1, x2 = x_observables
     set_q1, set_q2 = observable_sets
     report = uncorrelated_test(matter_final, set_q1, set_q2, eps=eps)
-    summary = {
-        "rho_q1": rho_q1,
-        "rho_q2": rho_q2,
-        "x1_expect": float(np.real(np.trace(x_local @ rho_q1))),
-        "x2_expect": float(np.real(np.trace(x_local @ rho_q2))),
-        "x1x2_expect": float(np.real(np.trace(x1 @ x2 @ matter_final))),
-        "initial_report": uncorrelated_test(steps[0].matter, set_q1, set_q2, eps=eps),
-    }
-    return ProtocolTrace(model, steps, report, summary)
+    initial_report = uncorrelated_test(steps[0].matter, set_q1, set_q2, eps=eps)
+    return ProtocolTrace(model, tuple(steps), report, initial_report, marginals(matter_final))

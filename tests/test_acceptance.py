@@ -11,7 +11,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from bmvsim import acceptance
+from bmvsim import acceptance, ising_anyon
 from bmvsim.acceptance import (
     ANYON_DISPLAYS,
     EXPECTED_SPAN_RESIDUAL,
@@ -21,7 +21,7 @@ from bmvsim.acceptance import (
     nondecomposable_target,
     run_all,
 )
-from bmvsim.bit_antibit import run_bit_antibit_protocol
+from bmvsim.bit_antibit import protocol_signature, run_bit_antibit_protocol, validate_state
 from bmvsim.fermion_ssr import (
     annihilator_matrix,
     count_scaling_check,
@@ -63,6 +63,20 @@ def bell_matter_state():
     return v
 
 
+def x_expectations(trace, x_local, x1, x2):
+    """<X1>, <X2> of the final marginals and <X1 X2> of the final matter."""
+    rho_q1, rho_q2 = trace.marginals
+    matter = trace.steps[-1].matter
+    return (np.trace(x_local @ rho_q1).real, np.trace(x_local @ rho_q2).real, np.trace(x1 @ x2 @ matter).real)
+
+
+def pair_flip():
+    """|00><11| + |11><00| on one bit/anti-bit pair."""
+    x = np.zeros((4, 4))
+    x[0, 3] = x[3, 0] = 1.0
+    return x
+
+
 def _verdict(index: int, name: str, passed: bool, detail: str = ""):
     print(f"[{'PASS' if passed else 'FAIL'}] criterion {index:2d} {name} {detail}".rstrip())
     assert passed, f"criterion {index} ({name}) failed: {detail}"
@@ -84,13 +98,12 @@ def bab_trace():
 
 
 def test_criterion_1_fermion_correlations(fermion_trace):
-    s = fermion_trace.summary
-    ok = (
-        abs(s["x1_expect"]) <= EPS
-        and abs(s["x2_expect"]) <= EPS
-        and abs(s["x1x2_expect"] - (-0.5)) <= EPS
-    )
-    _verdict(1, "fermion correlations", ok, f"<X1.X2> = {s['x1x2_expect']:.12g}")
+    def hop(n, i, j):
+        return creator_matrix(n, i) @ annihilator_matrix(n, j) + creator_matrix(n, j) @ annihilator_matrix(n, i)
+
+    x1, x2, x1x2 = x_expectations(fermion_trace, hop(2, 1, 2), hop(4, 1, 2), hop(4, 3, 4))
+    ok = abs(x1) <= EPS and abs(x2) <= EPS and abs(x1x2 - (-0.5)) <= EPS
+    _verdict(1, "fermion correlations", ok, f"<X1.X2> = {x1x2:.12g}")
 
 
 def test_criterion_2_fermion_mediator_sequence(fermion_trace):
@@ -102,8 +115,8 @@ def test_criterion_2_fermion_mediator_sequence(fermion_trace):
 
 
 def test_criterion_3_fermion_marginals(fermion_trace):
-    s = fermion_trace.summary
-    ok = mat_close(s["rho_q1"], np.eye(4) / 4, EPS) and mat_close(s["rho_q2"], np.eye(4) / 4, EPS)
+    rho_q1, rho_q2 = fermion_trace.marginals
+    ok = mat_close(rho_q1, np.eye(4) / 4, EPS) and mat_close(rho_q2, np.eye(4) / 4, EPS)
     _verdict(3, "fermion marginals I/4", ok)
 
 
@@ -145,47 +158,51 @@ def test_criterion_6_anyon_recoupling():
 
 
 def test_criterion_7_anyon_protocol(anyon_trace):
-    s = anyon_trace.summary
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    eye = np.eye(2)
+    # the matter basis is (x1, x2, t)
+    x1, x2, x1x2 = x_expectations(anyon_trace, x, np.kron(np.kron(x, eye), eye), np.kron(np.kron(eye, x), eye))
     ok = all(
         mat_close(change_partition(anyon_trace.steps[index].state, shape).amps, pinned, EPS)
         for index, shape, pinned in ANYON_DISPLAYS.values()
     )
     ok = ok and mat_close(anyon_trace.steps[-1].matter, dyad(bell_matter_state()), EPS)
-    ok = ok and abs(s["x1x2_expect"] - 1.0) <= EPS
-    ok = ok and abs(s["x1_expect"]) <= EPS and abs(s["x2_expect"]) <= EPS
-    _verdict(7, "anyon protocol", ok, f"<X1.X2> = {s['x1x2_expect']:.12g}")
+    ok = ok and abs(x1x2 - 1.0) <= EPS
+    ok = ok and abs(x1) <= EPS and abs(x2) <= EPS
+    _verdict(7, "anyon protocol", ok, f"<X1.X2> = {x1x2:.12g}")
 
 
 def test_criterion_8_anyon_mediator_purity(anyon_trace):
     med = np.zeros((3, 3), dtype=complex)
     med[1, 1] = 1.0
     ok = all(mat_close(step.mediator, med, EPS) for step in anyon_trace.steps)
-    purities = anyon_trace.summary["mediator_purities"]
+    purities = [float(np.trace(step.mediator @ step.mediator).real) for step in anyon_trace.steps]
     ok = ok and len(purities) == 4 and all(abs(p - 1.0) <= EPS for p in purities)
     _verdict(8, "anyon mediator purity", ok, f"purities {purities}")
 
 
 def test_criterion_9_bit_antibit_protocol(bab_trace):
-    s = bab_trace.summary
+    x, eye = pair_flip(), np.eye(4)
+    x1, x2, x1x2 = x_expectations(bab_trace, x, np.kron(x, eye), np.kron(eye, x))
     expected = dyad(bab_expected_matter_state())
     zero_proj = np.zeros((4, 4), dtype=complex)
     zero_proj[0, 0] = 1.0
     ok = mat_close(bab_trace.steps[-1].matter, expected, EPS)
-    ok = ok and abs(s["x1_expect"] * s["x2_expect"]) <= EPS
-    ok = ok and abs(s["x1x2_expect"] - 0.5) <= EPS
+    ok = ok and abs(x1 * x2) <= EPS
+    ok = ok and abs(x1x2 - 0.5) <= EPS
     ok = ok and mat_close(bab_trace.steps[-1].mediator, zero_proj, EPS)
-    ok = ok and all(s["validities"])
+    ok = ok and all(validate_state(protocol_signature(2), step.state)[0] for step in bab_trace.steps)
     for k in (3, 4):
         bigger = run_bit_antibit_protocol(k)
         ok = ok and mat_close(bigger.steps[-1].matter, expected, EPS)
-        ok = ok and all(bigger.summary["validities"])
+        ok = ok and all(validate_state(protocol_signature(k), step.state)[0] for step in bigger.steps)
     _verdict(9, "bit/anti-bit protocol + scaling", ok)
 
 
 def test_criterion_10_witness_coherence(fermion_trace, anyon_trace, bab_trace):
     ok = True
     for trace in (fermion_trace, anyon_trace, bab_trace):
-        ok = ok and trace.summary["initial_report"].uncorrelated
+        ok = ok and trace.initial_report.uncorrelated
         ok = ok and trace.report.entangled
     for matter, expect_entangled in ((bab_trace.steps[0].matter, False), (bab_trace.steps[-1].matter, True)):
         vals, vecs = np.linalg.eigh(matter)
@@ -264,3 +281,13 @@ def test_verify_all_runs_each_protocol_once(monkeypatch):
     # bit/anti-bit with no arguments is its default mediator, k = 2
     expected = [("fermion", ()), ("anyon", ()), ("bitantibit", ()), ("bitantibit", (3,)), ("bitantibit", (4,))]
     assert sorted(calls) == sorted(expected)
+
+
+def test_criterion_6_fails_on_a_wrong_partition_change(monkeypatch):
+    # a unitary LEFT -> RIGHT matrix that is not the F-move keeps every loop
+    # the identity, so only the pinned displays can catch it
+    wrong = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / SQ2
+    monkeypatch.setattr(ising_anyon, "P_LEFT_TO_RIGHT", wrong)
+    monkeypatch.setitem(ising_anyon._TO_RIGHT, Partition.LEFT, wrong)
+    criterion_6 = {r["index"]: r for r in run_all(EPS)}[6]
+    assert not criterion_6["pass"], criterion_6["detail"]

@@ -162,7 +162,8 @@ def test_certificate_admits():
 def test_validate_matches_oracle_at_every_checkpoint(k):
     sig = protocol_signature(k)
     trace = run_bit_antibit_protocol(k)
-    for step, flag, cert in zip(trace.steps, trace.summary["validities"], trace.summary["certificates"]):
+    for step in trace.steps:
+        flag, cert = validate_state(sig, step.state)
         assert (flag, cert) == reference_validate(sig, step.state), step.label
         assert flag and cert is not None
 
@@ -301,22 +302,27 @@ def test_protocol_mediator_diagonal_every_step():
 def test_protocol_every_step_validates():
     trace = run_bit_antibit_protocol()
     assert len(trace.steps) == 6
-    assert all(trace.summary["validities"])
-    assert all(cert is not None for cert in trace.summary["certificates"])
+    checks = [validate_state(protocol_signature(2), step.state) for step in trace.steps]
+    assert all(flag for flag, _ in checks)
+    assert all(cert is not None for _, cert in checks)
 
 
 def test_protocol_marginals_and_correlations():
     trace = run_bit_antibit_protocol()
-    assert mat_close(trace.summary["rho_q1"], np.eye(4) / 4)
-    assert mat_close(trace.summary["rho_q2"], np.eye(4) / 4)
-    assert abs(trace.summary["x1_expect"]) <= EPS
-    assert abs(trace.summary["x2_expect"]) <= EPS
-    assert abs(trace.summary["x1x2_expect"] - 0.5) <= EPS
+    rho_q1, rho_q2 = trace.marginals
+    assert mat_close(rho_q1, np.eye(4) / 4)
+    assert mat_close(rho_q2, np.eye(4) / 4)
+    # |00><11| + |11><00| on one pair, and on both pairs of the matter at once
+    x = np.zeros((4, 4))
+    x[0, 3] = x[3, 0] = 1.0
+    assert abs(np.trace(x @ rho_q1)) <= EPS
+    assert abs(np.trace(x @ rho_q2)) <= EPS
+    assert abs(np.trace(np.kron(x, x) @ trace.steps[-1].matter) - 0.5) <= EPS
 
 
 def test_protocol_witness():
     trace = run_bit_antibit_protocol()
-    assert trace.summary["initial_report"].uncorrelated
+    assert trace.initial_report.uncorrelated
     assert trace.report.entangled
 
 
@@ -383,7 +389,7 @@ def test_mediator_scaling_reproduces_final_state(k):
     base = run_bit_antibit_protocol(2)
     bigger = run_bit_antibit_protocol(k)
     assert mat_close(bigger.steps[-1].matter, base.steps[-1].matter)
-    assert all(bigger.summary["validities"])
+    assert all(validate_state(protocol_signature(k), step.state)[0] for step in bigger.steps)
     zero_proj = np.zeros((1 << k, 1 << k), dtype=complex)
     zero_proj[0, 0] = 1.0
     assert mat_close(bigger.steps[-1].mediator, zero_proj)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bmvsim import acceptance, cli
+from bmvsim import acceptance, bit_antibit, cli
 from bmvsim.cli import (
     EXIT_IO,
     EXIT_MISMATCH,
@@ -383,3 +383,23 @@ def test_report_written_in_slices_is_the_rendered_text(capsys, monkeypatch, tmp_
     target = tmp_path / "report"
     assert main([*argv, "--out", str(target)]) == EXIT_OK
     assert target.read_bytes() == expected.encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "argv, mediator_bits",
+    [(["run", "bitantibit"], [2] * 6), (["verify-all"], [2] * 6 + [3] * 8 + [4] * 10)],
+)
+def test_each_checkpoint_is_validated_once(monkeypatch, capsys, argv, mediator_bits):
+    # one validate_state call per checkpoint of each bit/anti-bit run:
+    # 2k + 2 checkpoints at k mediator bits
+    calls = []
+    real = bit_antibit.validate_state
+
+    def counted(sig, vec, eps=EPS):
+        calls.append(sig.n - 2)
+        return real(sig, vec, eps)
+
+    monkeypatch.setattr(bit_antibit, "validate_state", counted)
+    code, _, _ = run_cli(capsys, argv)
+    assert code == EXIT_OK
+    assert sorted(calls) == mediator_bits

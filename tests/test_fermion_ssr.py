@@ -296,25 +296,27 @@ def test_protocol_final_state_and_marginals():
     c = {j: creator_matrix(4, j) for j in range(1, 5)}
     expected_final = 0.5 * ((c[1] + c[3]) @ (c[2] + c[4]) @ vacuum_state(4))
     assert mat_close(trace.steps[-1].matter, dyad(expected_final))
-    assert mat_close(trace.summary["rho_q1"], np.eye(4) / 4)
-    assert mat_close(trace.summary["rho_q2"], np.eye(4) / 4)
+    assert mat_close(trace.marginals[0], np.eye(4) / 4)
+    assert mat_close(trace.marginals[1], np.eye(4) / 4)
 
 
 def test_protocol_correlations():
     trace = run_fermion_protocol()
-    assert abs(trace.summary["x1_expect"]) <= EPS
-    assert abs(trace.summary["x2_expect"]) <= EPS
-    assert abs(trace.summary["x1x2_expect"] + 0.5) <= EPS
-    # cross-check the joint correlation against an explicit matrix product
-    x1 = hopping_observable(4, 1, 2)
-    x2 = hopping_observable(4, 3, 4)
-    val = np.trace(x1 @ x2 @ trace.steps[-1].matter)
-    assert abs(val + 0.5) <= EPS
+
+    def hop(n, i, j):
+        return creator_matrix(n, i) @ annihilator_matrix(n, j) + creator_matrix(n, j) @ annihilator_matrix(n, i)
+
+    for rho in trace.marginals:
+        assert abs(np.trace(hop(2, 1, 2) @ rho)) <= EPS
+    # the joint correlation, from the products of creators and annihilators
+    # and from the library's hopping observables
+    for x1, x2 in ((hop(4, 1, 2), hop(4, 3, 4)), (hopping_observable(4, 1, 2), hopping_observable(4, 3, 4))):
+        assert abs(np.trace(x1 @ x2 @ trace.steps[-1].matter) + 0.5) <= EPS
 
 
 def test_protocol_witness_verdicts():
     trace = run_fermion_protocol()
-    assert trace.summary["initial_report"].uncorrelated
+    assert trace.initial_report.uncorrelated
     assert trace.report.entangled
     assert not trace.report.uncorrelated
     assert trace.report.violating_pair is not None

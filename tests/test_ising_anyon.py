@@ -461,13 +461,16 @@ def test_protocol_displays_match_pinned_expansions():
 
 def test_protocol_correlations_and_witness():
     trace = run_anyon_protocol()
-    assert abs(trace.summary["x1x2_expect"] - 1.0) <= EPS
-    assert abs(trace.summary["x1_expect"]) <= EPS
-    assert abs(trace.summary["x2_expect"]) <= EPS
-    assert mat_close(trace.summary["rho_q1"], np.eye(2) / 2, EPS)
-    assert trace.summary["initial_report"].uncorrelated
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    rho_q1, rho_q2 = trace.marginals
+    # X on both qubits of the (x1, x2, t) matter basis
+    assert abs(np.trace(np.kron(np.kron(x, x), np.eye(2)) @ trace.steps[-1].matter) - 1.0) <= EPS
+    assert abs(np.trace(x @ rho_q1)) <= EPS
+    assert abs(np.trace(x @ rho_q2)) <= EPS
+    assert mat_close(rho_q1, np.eye(2) / 2, EPS)
+    assert trace.initial_report.uncorrelated
     assert trace.report.entangled
-    assert all(abs(p - 1.0) <= EPS for p in trace.summary["mediator_purities"])
+    assert all(abs(np.trace(step.mediator @ step.mediator) - 1.0) <= EPS for step in trace.steps)
 
 
 def test_protocol_observable_sets_are_shared_read_only_constants(monkeypatch):
@@ -485,7 +488,7 @@ def test_protocol_observable_sets_are_shared_read_only_constants(monkeypatch):
     trace = run_anyon_protocol()
     assert trace.report.entangled
     assert trace.report.correlations.expect_product.shape == (len(q1), len(q2))
-    assert trace.summary["initial_report"].uncorrelated
+    assert trace.initial_report.uncorrelated
 
 
 def test_matter_observable_set_shapes():

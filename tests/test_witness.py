@@ -326,7 +326,7 @@ def test_bit_antibit_verdict_matches_schmidt_oracle():
         rank = schmidt_rank(state, 4, 4)
         assert (rank >= 2) == expect_entangled
     assert trace.report.entangled
-    assert trace.summary["initial_report"].uncorrelated
+    assert trace.initial_report.uncorrelated
 
 
 def pauli_pair_sets():
