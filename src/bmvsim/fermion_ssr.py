@@ -22,8 +22,10 @@ picked by exact index arithmetic, one normal-ordered word per adjoint pair
 (``_candidate_rows``): ``enumerate_physical_observables`` builds them, for the
 protocol's observable sets.  ``count_scaling_check`` counts them without
 building a matrix: the rows of one XOR offset form a square (2^k, 2^k) real
-matrix, and one stacked ``matrix_rank`` over the 2^(k-1) offsets gives the
-count and certifies that the picked words are independent.
+matrix, and one stacked ``slogdet`` over the 2^(k-1) offsets, compared with
+the closed-form determinant of each class, certifies that every class is
+nonsingular, so the picked words are independent and the count is 2^k per
+class.
 
 Discarding modes uses the fermionic partial trace: a dyad
 |s_1..s_n><r_1..r_n| survives the trace of mode j only when s_j == r_j, picks
@@ -46,21 +48,29 @@ import numpy as np
 from .statecore import EPS, dagger, partial_trace, reduce_pure
 from .witness import LocalObservableSet, ProtocolTrace, run_protocol
 
-# Tolerance of ``count_scaling_check``'s rank, compared with singular values:
-# every offset class of a full register up to MAX_COUNT_MODES is square with
-# full rank 2^k, and its smallest singular value falls about 1.6x per mode, from
-# 0.62 at k = 1 to 0.090 at k = 5 and 0.034 at k = 7, so no singular value lies
-# within six orders of it.
+# Bound on |log2|det| - closed form| of ``count_scaling_check``'s classes.
+# slogdet's LU rounding moves log2|det| by at most 2.1e-14 up to k = 7 and by
+# 1.7e-13 at k = 8 (the worst class of each register, measured); 1e-9 lies
+# nearly four orders above that.  A class that misses its closed form is
+# either singular, where a zero or rounding-size pivot puts log2|det| at -inf
+# or some 50 below it, or of another determinant, where one doubled row moves
+# it by 1.
+_LOGDET_TOL = 1e-9
+
+# Tolerance of the rank that counts a class missing its closed form, compared
+# with singular values.  Only that path, which working code never takes, uses
+# it.  Every class of a full register up to MAX_COUNT_MODES has full rank, and
+# its smallest singular value falls about 1.6x per mode, from 0.62 at k = 1 to
+# 0.034 at k = 7 and 0.021 at k = 8, so none lies within six orders of it.
 _RANK_TOL = 1e-8
 
-# `tomography --k-max k` counts full registers of up to k modes.  Peak RSS and
-# wall time per command, json / text, fresh process, median of 5 in each of two
-# runs, on a 2-vCPU Xeon: k = 5 33 / 33 MiB, 0.34 / 0.34 s; k = 6 36 / 36 MiB,
-# 0.31 / 0.27 s; k = 7 65 / 65 MiB, 0.47-0.74 / 0.43-0.75 s, of which the k = 7
-# count alone is about 0.22 s.
-# The count holds the actions of 2^(2k-1) words of 2^k values each, 8x more per
-# k, and its SVDs cost 16x more per k: k = 8 is rejected before it allocates.
-MAX_COUNT_MODES = 7
+# `tomography --k-max k` counts full registers of up to k modes.  Wall time
+# and peak RSS per command, json / text, fresh process, median of 5, on a
+# 2-vCPU Xeon: k = 7 0.29 / 0.33 s at 65 MiB; k = 8 0.92 / 0.78 s at 243 MiB,
+# of which the k = 8 classes are 64 MiB and their slogdet about 0.13 s.
+# The count holds the actions of 2^(2k-1) words of 2^k values each, 8x more
+# per k: k = 9 would need about 2 GiB and is rejected before it allocates.
+MAX_COUNT_MODES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +221,37 @@ def _offset_classes(k: int) -> np.ndarray:
 def count_scaling_check(k_max: int) -> list[tuple[int, int, int, bool]]:
     """Rows (k, observable count, 2^(2k-1), match) for full registers k=1..k_max.
 
-    A count is the summed rank of the register's offset classes, one stacked
-    ``matrix_rank`` call; no observable matrix is built.
+    A register's count is 2^k per offset class whose log2|det|, from one
+    stacked ``slogdet`` call, is its closed form within ``_LOGDET_TOL``: 0 on
+    offset 0 and 2^(k-1) on every other offset.  A class that misses is
+    counted by its rank, so the count stays a count.  No observable matrix is
+    built.
+
+    The closed form.  The words on offset d are c^dag_A c_B with A = C + A'
+    and B = C + B' (+ a disjoint union), C outside d and d = A' + B': 2^k of
+    them, and even since d is.  c^dag_A c_B is alive on |s> iff s meets d in exactly
+    B' and holds C, with an entry of +-1.  So the matrix W_d of the raw word
+    actions, one row per word, is a permutation on the bits of d (B' = s & d
+    fixes A') times the subset zeta matrix [C <= s] on the other bits, up to
+    signs; ordered by popcount that is triangular with +-1 on its diagonal,
+    and |det W_d| = 1.  On d = 0 every word c^dag_C c_C is self-adjoint and
+    the class is W_0.  On d != 0 the 2^k words form 2^(k-1) adjoint pairs
+    (A' != B'), the adjoint's row in W_d is the values of m^dag on the
+    offset, and the class takes each pair to m + m^dag and m - m^dag: up to
+    row order, 2^(k-1) blocks [[1, 1], [1, -1]] of |det| 2 times W_d.
     """
     if k_max > MAX_COUNT_MODES:
         raise ValueError(f"bad-mode: k_max above {MAX_COUNT_MODES} is out of scope")
     rows = []
     for k in range(1, k_max + 1):
-        count = int(np.linalg.matrix_rank(_offset_classes(k), tol=_RANK_TOL).sum())
+        classes = _offset_classes(k)
+        closed_form = np.full(len(classes), float(1 << (k - 1)))
+        closed_form[0] = 0.0
+        _, logdet = np.linalg.slogdet(classes)
+        hit = np.abs(logdet / np.log(2) - closed_form) <= _LOGDET_TOL
+        count = int(hit.sum()) << k
+        if not hit.all():
+            count += int(np.linalg.matrix_rank(classes[~hit], tol=_RANK_TOL).sum())
         expected = 1 << (2 * k - 1)
         rows.append((k, count, expected, count == expected))
     return rows

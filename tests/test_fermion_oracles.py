@@ -12,6 +12,7 @@ import pytest
 from bmvsim import fermion_ssr
 from bmvsim.fermion_ssr import (
     MAX_COUNT_MODES,
+    _LOGDET_TOL,
     _RANK_TOL,
     _adjoint_words,
     _even_word_actions,
@@ -424,6 +425,122 @@ def test_count_rank_tolerance_sits_in_a_wide_gap(k):
         f"k = {k}: smallest kept singular value {nonzero.min():.3g} is within six orders of _RANK_TOL"
     )
     assert len(nonzero) == 1 << (2 * k - 1)
+
+
+#: A prime below 2^31, so a product of two residues fits in int64.
+PRIME = (1 << 31) - 19
+
+
+def rank_and_det_mod_prime(matrix):
+    """Exact rank and determinant modulo PRIME of an integer matrix, by
+    Gaussian elimination over the field of residues; no tolerance."""
+    a = np.asarray(matrix, dtype=np.int64) % PRIME
+    size = len(a)
+    rank, det = 0, 1
+    for column in range(a.shape[1]):
+        pivots = np.flatnonzero(a[rank:, column])
+        if not len(pivots):
+            det = 0
+            continue
+        pivot = rank + pivots[0]
+        if pivot != rank:
+            a[[rank, pivot]] = a[[pivot, rank]]
+            det = -det
+        value = int(a[rank, column])
+        det = det * value % PRIME
+        a[rank] = a[rank] * pow(value, PRIME - 2, PRIME) % PRIME
+        a[rank + 1 :] = (a[rank + 1 :] - a[rank + 1 :, column, None] * a[rank]) % PRIME
+        rank += 1
+        if rank == size:
+            break
+    return rank, det % PRIME
+
+
+def closed_form_log2_det(k):
+    """log2|det| of the offset classes of a k-mode register, offsets
+    ascending: 0 on offset 0, 2^(k-1) on each of the other 2^(k-1) - 1."""
+    return np.array([0] + [1 << (k - 1)] * ((1 << (k - 1)) - 1))
+
+
+def test_mod_prime_elimination_on_known_matrices():
+    assert rank_and_det_mod_prime(np.eye(3, dtype=int)) == (3, 1)
+    assert rank_and_det_mod_prime([[0, 1], [1, 0]]) == (2, PRIME - 1)
+    assert rank_and_det_mod_prime([[1, 1], [1, -1]]) == (2, PRIME - 2)
+    assert rank_and_det_mod_prime([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == (2, 0)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_every_class_has_full_rank_mod_a_prime(k):
+    # exact arithmetic: the entries are integers in {-1, 0, 1}, and a class of
+    # full rank modulo a prime has a nonzero integer determinant; the
+    # determinant is also the closed form's +-2^(2^(k-1)) modulo the prime
+    classes = _offset_classes(k)
+    assert np.isin(classes, (-1.0, 0.0, 1.0)).all()
+    for offset, (cls, log2_det) in enumerate(zip(classes.astype(np.int64), closed_form_log2_det(k))):
+        rank, det = rank_and_det_mod_prime(cls)
+        closed_form = pow(2, int(log2_det), PRIME)
+        assert rank == 1 << k, f"k = {k}, class {offset}: rank {rank}"
+        assert det in {closed_form, PRIME - closed_form}, f"k = {k}, class {offset}"
+
+
+@pytest.mark.parametrize("k", range(1, MAX_COUNT_MODES + 1))
+def test_class_log_determinants_match_the_closed_form(k):
+    _, logdet = np.linalg.slogdet(_offset_classes(k))
+    deviation = np.abs(logdet / np.log(2) - closed_form_log2_det(k))
+    assert deviation.max() <= _LOGDET_TOL, f"k = {k}: log2|det| off by {deviation.max():.3g}"
+
+
+def _planted(k_planted, plant):
+    """``_offset_classes`` with ``plant`` applied to the classes of k_planted modes."""
+    classes = fermion_ssr._offset_classes
+
+    def offset_classes(k):
+        out = classes(k)
+        if k == k_planted:
+            plant(out)
+        return out
+
+    return offset_classes
+
+
+def test_a_singular_class_drops_the_count_by_its_deficiency(monkeypatch):
+    def duplicate_rows(classes):
+        # two rows of class 1 copied over two others: rank 2^k - 2
+        classes[1, 0] = classes[1, 2]
+        classes[1, 1] = classes[1, 2]
+
+    monkeypatch.setattr(fermion_ssr, "_offset_classes", _planted(3, duplicate_rows))
+    rows = count_scaling_check(4)
+    assert rows[2] == (3, 30, 32, False)
+    assert [row[3] for row in rows] == [True, True, False, True]
+
+
+def test_a_full_rank_class_of_another_determinant_still_counts(monkeypatch):
+    def double_a_row(classes):
+        classes[-1, 0] *= 2
+
+    ranked = []
+    matrix_rank = np.linalg.matrix_rank
+
+    def spy(classes, **kwargs):
+        ranked.append(classes.shape)
+        return matrix_rank(classes, **kwargs)
+
+    monkeypatch.setattr(fermion_ssr, "_offset_classes", _planted(4, double_a_row))
+    monkeypatch.setattr(np.linalg, "matrix_rank", spy)
+    assert count_scaling_check(5)[3] == (4, 128, 128, True)
+    # only the planted class missed its closed form and was ranked
+    assert ranked == [(1, 16, 16)]
+
+
+def test_working_classes_run_no_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SVD ran")
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    counts = [(k, 1 << (2 * k - 1), 1 << (2 * k - 1), True) for k in range(1, MAX_COUNT_MODES + 1)]
+    assert count_scaling_check(MAX_COUNT_MODES) == counts
 
 
 @pytest.mark.parametrize("n", range(2, 8))
