@@ -54,19 +54,12 @@ from .witness import LocalObservableSet, ProtocolTrace, run_protocol
 # nearly four orders above that.  A class that misses its closed form is
 # either singular, where a zero or rounding-size pivot puts log2|det| at -inf
 # or some 50 below it, or of another determinant, where one doubled row moves
-# it by 1.
+# it by 1; either way it counts nothing, and criterion 4 fails.
 _LOGDET_TOL = 1e-9
-
-# Tolerance of the rank that counts a class missing its closed form, compared
-# with singular values.  Only that path, which working code never takes, uses
-# it.  Every class of a full register up to MAX_COUNT_MODES has full rank, and
-# its smallest singular value falls about 1.6x per mode, from 0.62 at k = 1 to
-# 0.034 at k = 7 and 0.021 at k = 8, so none lies within six orders of it.
-_RANK_TOL = 1e-8
 
 # `tomography --k-max k` counts full registers of up to k modes.  Wall time
 # and peak RSS per command, json / text, fresh process, median of 5, on a
-# 2-vCPU Xeon: k = 7 0.29 / 0.33 s at 65 MiB; k = 8 0.92 / 0.78 s at 243 MiB,
+# 2-vCPU Xeon: k = 7 0.28 / 0.31 s at 65 MiB; k = 8 0.93 / 0.93 s at 242 MiB,
 # of which the k = 8 classes are 64 MiB and their slogdet about 0.13 s.
 # The count holds the actions of 2^(2k-1) words of 2^k values each, 8x more
 # per k: k = 9 would need about 2 GiB and is rejected before it allocates.
@@ -223,9 +216,9 @@ def count_scaling_check(k_max: int) -> list[tuple[int, int, int, bool]]:
 
     A register's count is 2^k per offset class whose log2|det|, from one
     stacked ``slogdet`` call, is its closed form within ``_LOGDET_TOL``: 0 on
-    offset 0 and 2^(k-1) on every other offset.  A class that misses is
-    counted by its rank, so the count stays a count.  No observable matrix is
-    built.
+    offset 0 and 2^(k-1) on every other offset.  A class that misses counts
+    nothing, so a singular class and a wrong closed form alike break the
+    match.  No observable matrix is built.
 
     The closed form.  The words on offset d are c^dag_A c_B with A = C + A'
     and B = C + B' (+ a disjoint union), C outside d and d = A' + B': 2^k of
@@ -250,8 +243,6 @@ def count_scaling_check(k_max: int) -> list[tuple[int, int, int, bool]]:
         _, logdet = np.linalg.slogdet(classes)
         hit = np.abs(logdet / np.log(2) - closed_form) <= _LOGDET_TOL
         count = int(hit.sum()) << k
-        if not hit.all():
-            count += int(np.linalg.matrix_rank(classes[~hit], tol=_RANK_TOL).sum())
         expected = 1 << (2 * k - 1)
         rows.append((k, count, expected, count == expected))
     return rows
