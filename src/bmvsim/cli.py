@@ -17,8 +17,10 @@ import argparse
 import json
 import os
 import sys
+from bisect import bisect_right
 from collections.abc import Iterator
 from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -36,13 +38,14 @@ EXIT_IO = 3
 
 MODELS = tuple(RUNNERS)
 
-# `run bitantibit --mediator-bits k` costs what its report holds, 2k + 2
-# mediator matrices of 4^k entries.  Peak RSS and wall time per command, json /
-# text, fresh process, median of 5 (3 at k = 9), on a 2-vCPU Xeon: k = 7
-# 50 / 40 MiB, 0.28 / 0.25 s; k = 8 108 / 69 MiB, 0.39 / 0.28 s; k = 9
-# 365 / 195 MiB, 0.75 / 0.38 s.  Above the 30 MiB of the interpreter the json
-# peak grows about 4x per k, and the k = 10 json text alone would be about
-# 1 GiB, the whole memory budget: a larger k is rejected before it allocates.
+# `run bitantibit --mediator-bits k` holds 2k + 2 dense mediator matrices of
+# 4^k complex entries.  Its report is streamed to its destination, so json, csv
+# and text peak alike, at what the protocol holds.  Peak RSS and wall time per
+# command, json / csv / text, fresh process, median of 5 (3 at k = 9), on a
+# 2-vCPU Xeon: k = 8 53 / 53 / 53 MiB, 0.28 / 0.23 / 0.22 s; k = 9 125 / 125 /
+# 125 MiB, 0.42 / 0.40 / 0.33 s.  k = 10 would hold about 350 MiB of mediators
+# (22 matrices of 16 MiB) and write a json file of about 1 GiB (4x the 262 MB
+# of k = 9): a larger k is rejected before it allocates.
 MAX_MEDIATOR_BITS = 9
 
 
@@ -92,41 +95,39 @@ def _interleave(head: str, items: list[str], seps: list[str]) -> list[str]:
 _ARRAYS = (np.ndarray, CorrelationTable)
 
 
-def format_array(a, level: int | None = None) -> str:
+def _array_parts(a, level: int | None = None, texts: dict | None = None) -> list[str]:
     """A complex array of rank >= 1 as JSON nested lists of [re, im] pairs, or
-    a correlation table as its JSON rows (``_table_parts``).
+    a correlation table as its JSON rows (``_table_parts``), in pieces.
 
-    With ``level`` None the bytes are those of compact ``json.dumps``; with an
-    int they are those of ``json.dumps(..., indent=2)`` for an array that sits
-    ``level`` containers deep.  The leaf is one row of the last axis: each
-    distinct row, keyed by its float64 bit patterns (so -0.0 and 0.0, and NaN
-    payloads, stay apart), is formatted once, its floats written by json
-    itself, and the rows are joined with the separators of the outer axes.
+    With ``level`` None the joined pieces are the bytes of compact
+    ``json.dumps``; with an int they are those of ``json.dumps(..., indent=2)``
+    for an array that sits ``level`` containers deep.  The leaf is one row of
+    the last axis, read as its interleaved re, im floats from a float64 view of
+    the array: each distinct row, keyed by its float64 bit patterns (so -0.0 and
+    0.0, and NaN payloads, stay apart), is formatted once, its floats written by
+    json itself, and the rows are joined with the separators of the outer axes.
     Protocol matrices are sparse with exact rational or 1/sqrt(2) entries, so
-    most rows repeat.
+    most rows repeat, also from one checkpoint's matrix to the next: a caller
+    that formats several arrays passes one ``texts`` dict to every call, and a
+    row is formatted once for all of them.
     """
-    return "".join(_array_parts(a, level))
-
-
-def _array_parts(a, level: int | None = None) -> list[str]:
-    """The text of ``format_array`` as a list of pieces, for a caller that
-    joins it into a larger text."""
     if isinstance(a, CorrelationTable):
         return _table_parts(a, level)
-    a = np.asarray(a, dtype=complex)
+    a = np.ascontiguousarray(a, dtype=complex)
     rank = a.ndim - 1  # axes outside a row
-    values = np.stack((a.real, a.imag), axis=-1)
-    rows = values.reshape((-1,) + values.shape[rank:])
-    row_head, row_seps = _separators(rows.shape[1:], None if level is None else level + rank)
-    texts: dict[bytes, str] = {}
+    rows = a.view(np.float64).reshape(-1, 2 * a.shape[-1])
+    row_level = None if level is None else level + rank
+    row_head, row_seps = _separators((a.shape[-1], 2), row_level)
+    # a row's text depends only on its level and its bytes, whose count fixes its length
+    known = ({} if texts is None else texts).setdefault(row_level, {})
     leaves = []
     for row in rows:
         key = row.tobytes()
-        text = texts.get(key)
+        text = known.get(key)
         if text is None:
             # json writes no ", " inside a float
-            floats = json.dumps(row.reshape(-1).tolist())[1:-1].split(", ")
-            text = texts[key] = "".join(_interleave(row_head, floats, row_seps))
+            floats = json.dumps(row.tolist())[1:-1].split(", ")
+            text = known[key] = "".join(_interleave(row_head, floats, row_seps))
         leaves.append(text)
     head, seps = _separators(a.shape[:rank], level)
     return _interleave(head, leaves, seps)
@@ -188,7 +189,7 @@ def build_run_report(trace: ProtocolTrace, eps: float, trace_steps: bool) -> dic
         "meta": {"tool": "bmvsim", "version": __version__, "eps": eps},
         "model": trace.model,
         "steps": steps,
-        "mediator_states": np.stack([step.mediator for step in trace.steps]),
+        "mediator_states": [step.mediator for step in trace.steps],
         "marginals": {"rho_q1": trace.marginals[0], "rho_q2": trace.marginals[1]},
         "witness": _witness_dict(trace.report),
         "expected": checks,
@@ -232,10 +233,12 @@ def build_verify_report(eps: float) -> dict:
 _SLOT = "\0array"  # what json.dumps writes in place of each array
 
 
-def render_json(report: dict) -> str:
-    """``json.dumps(report, indent=2)`` in one encoder pass that writes a slot
-    in place of each array, then fills the slots with ``_array_parts``."""
+def render_json(report: dict) -> list[str]:
+    """``json.dumps(report, indent=2)`` in pieces: one encoder pass writes a
+    slot in place of each array, and the text between the slots is interleaved
+    with the arrays' ``_array_parts``."""
     arrays: list = []
+    texts: dict = {}
 
     def slot(value):
         if not isinstance(value, _ARRAYS):
@@ -250,18 +253,18 @@ def render_json(report: dict) -> str:
     for array, gap in zip(arrays, gaps[1:]):
         # json escapes newlines in strings: the last one it wrote starts the slot's line
         line = out[-1][out[-1].rfind("\n") + 1 :]
-        out += _array_parts(array, (len(line) - len(line.lstrip(" "))) // 2)
+        out += _array_parts(array, (len(line) - len(line.lstrip(" "))) // 2, texts)
         out.append(gap)
     # the encoder's closures form a cycle that keeps `slot`, and so the list, until a gc pass
     arrays.clear()
     out.append("\n")
-    return "".join(out)
+    return out
 
 
-def _csv_rows(value, prefix: str = "") -> Iterator[tuple[str, str, str]]:
-    """The (section, key, value) rows of a report.  It recurses as a module
-    function: a nested function that calls itself is a reference cycle, which
-    would keep each report's rows alive until a gc pass."""
+def _csv_rows(value, prefix: str = "") -> Iterator[tuple[str, str, list[str]]]:
+    """The (section, key, value pieces) rows of a report.  It recurses as a
+    module function: a nested function that calls itself is a reference cycle,
+    which would keep each report's rows alive until a gc pass."""
     if isinstance(value, dict):
         for key, sub in value.items():
             yield from _csv_rows(sub, f"{prefix}.{key}" if prefix else str(key))
@@ -269,23 +272,50 @@ def _csv_rows(value, prefix: str = "") -> Iterator[tuple[str, str, str]]:
         for i, sub in enumerate(value):
             yield from _csv_rows(sub, f"{prefix}[{i}]")
     else:
-        text = format_array(value) if isinstance(value, _ARRAYS) else json.dumps(value)
-        yield prefix.split(".")[0], prefix, text
+        yield prefix.split(".")[0], prefix, _cell_parts(value)
 
 
-def _csv_line(cells) -> str:
-    """One record under the excel dialect's minimal quoting: a cell that holds
-    a comma, a quote or a line break is quoted, with its quotes doubled."""
-    return ",".join(
-        '"' + cell.replace('"', '""') + '"' if any(ch in cell for ch in ',"\r\n') else cell for cell in cells
-    ) + "\r\n"
+def _cell_parts(value) -> list[str]:
+    """The compact json text of a value, in pieces: an array, a list of arrays
+    such as the mediator states, or one piece for any other json value."""
+    if isinstance(value, _ARRAYS):
+        return _array_parts(value)
+    if isinstance(value, list) and value and all(isinstance(item, _ARRAYS) for item in value):
+        parts: list[str] = []
+        texts: dict = {}
+        for array in value:
+            parts += [", ", *_array_parts(array, None, texts)]
+        parts[0] = "["
+        parts.append("]")
+        return parts
+    return [json.dumps(value)]
 
 
-def render_csv(report: dict) -> str:
-    return "".join(map(_csv_line, [("section", "key", "value"), *_csv_rows(report)]))
+def _csv_quote(cell: str) -> str:
+    """A cell under the excel dialect's minimal quoting: one that holds a
+    comma, a quote or a line break is quoted, with its quotes doubled."""
+    return '"' + cell.replace('"', '""') + '"' if any(ch in cell for ch in ',"\r\n') else cell
 
 
-def render_text(report: dict) -> str:
+def _csv_line(section: str, key: str, value: list[str]) -> list[str]:
+    """One record in pieces.  A value of more than one piece is an array's
+    text, which never holds a quote or a line break: it is quoted as it
+    stands, if it holds a comma."""
+    if len(value) == 1:
+        value = [_csv_quote(value[0])]
+    elif any("," in piece for piece in value):
+        value = ['"', *value, '"']
+    return [_csv_quote(section), ",", _csv_quote(key), ",", *value, "\r\n"]
+
+
+def render_csv(report: dict) -> list[str]:
+    out = ["section,key,value\r\n"]
+    for row in _csv_rows(report):
+        out += _csv_line(*row)
+    return out
+
+
+def render_text(report: dict) -> list[str]:
     lines = [f"bmvsim {report['meta']['version']} (eps={report['meta']['eps']:g})"]
     if "model" in report:
         lines.append(f"model: {report['model']}")
@@ -312,29 +342,52 @@ def render_text(report: dict) -> str:
             status = "PASS" if crit["pass"] else "FAIL"
             lines.append(f"[{status}] {crit['index']:2d} {crit['name']}: {crit['detail']}")
     lines.append("RESULT: " + ("PASS" if report["pass"] else "FAIL"))
-    return "\n".join(lines) + "\n"
+    return [line + "\n" for line in lines]
 
 
 RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}
 
 
-# Reports are written in slices of this many characters: the text layer
-# encodes what it is given in one piece, so the encoded copy of a large
-# report never holds more than one slice.
-_WRITE_SLICE = 1 << 20
+# Reports are written in chunks of this many characters, cut from the
+# renderer's pieces: the text layer encodes what it is given in one piece, so
+# neither the report text nor an encoded copy of it is ever held whole.  Writing
+# the k = 6 json report (2.9 MB, render included, median of 60 on a 2-vCPU
+# Xeon) took 9.8 / 7.8 / 6.2 / 5.7 / 8.8 ms in chunks of 4 KiB / 16 KiB /
+# 64 KiB / 256 KiB / 1 MiB; 64 KiB is as fast as 256 KiB within their spread,
+# and stays below malloc's default 128 KiB threshold for a fresh mapping.
+_WRITE_SLICE = 1 << 16
+
+
+def _chunks(pieces: list[str], size: int) -> Iterator[str]:
+    """The joined text of ``pieces`` in consecutive chunks of ``size``
+    characters, the last one shorter.  Each chunk is cut from the pieces that
+    hold it, found by bisecting their offsets: no Python step runs per piece."""
+    offsets = list(accumulate(map(len, pieces), initial=0))
+    total = offsets[-1]
+    for start in range(0, total, size):
+        stop = min(start + size, total)
+        # the (non-empty) pieces that hold the chunk's first and last characters
+        first = bisect_right(offsets, start) - 1
+        last = bisect_right(offsets, stop - 1) - 1
+        head, tail = start - offsets[first], stop - offsets[last]
+        if first == last:
+            yield pieces[first][head:tail]
+        else:
+            yield "".join([pieces[first][head:], *pieces[first + 1 : last], pieces[last][:tail]])
 
 
 def _emit(report: dict, fmt: str, out: str | None) -> int:
-    """Write the report; the exit code says whether it was written and passed."""
-    text = RENDERERS[fmt](report)
-    slices = (text[start : start + _WRITE_SLICE] for start in range(0, len(text), _WRITE_SLICE))
+    """Write the report; the exit code says whether it was written and passed.
+    The report is rendered whole before the first write, so a render error
+    writes nothing."""
+    chunks = _chunks(RENDERERS[fmt](report), _WRITE_SLICE)
     try:
         if out is None:
-            sys.stdout.writelines(slices)
+            sys.stdout.writelines(chunks)
             sys.stdout.flush()
         else:
             with open(out, "w", encoding="utf-8", newline="") as fh:
-                fh.writelines(slices)
+                fh.writelines(chunks)
     except OSError as exc:
         if out is None:
             # what stdout still buffers goes nowhere, so the flush at exit cannot fail again

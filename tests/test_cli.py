@@ -1,12 +1,15 @@
 import csv
 import errno
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bmvsim import acceptance, bit_antibit, cli
@@ -317,6 +320,8 @@ def test_report_builders_direct():
     trace = run_fermion_protocol()
     report = build_run_report(trace, EPS, trace_steps=False)
     assert report["pass"] and "state" not in report["steps"][0]
+    # the report holds the trace's mediator arrays, not a stacked copy of them
+    assert [id(m) for m in report["mediator_states"]] == [id(step.mediator) for step in trace.steps]
     tomo = build_tomography_report(2, EPS)
     assert tomo["pass"]
     verify = build_verify_report(EPS)
@@ -374,15 +379,80 @@ def test_consecutive_calls_share_no_state(capsys, monkeypatch):
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_report_written_in_slices_is_the_rendered_text(capsys, monkeypatch, tmp_path, fmt):
-    # slices of 7 characters end in every kind of place in the text
+    # chunks of 7 characters end in every kind of place in the text, within
+    # a piece and across pieces
     argv = ["run", "anyon", "--format", fmt, "--trace-steps"]
-    expected = cli.RENDERERS[fmt](build_run_report(cli.RUNNERS["anyon"](eps=EPS), EPS, True))
+    expected = "".join(cli.RENDERERS[fmt](build_run_report(cli.RUNNERS["anyon"](eps=EPS), EPS, True)))
     monkeypatch.setattr(cli, "_WRITE_SLICE", 7)
-    code, out, _ = run_cli(capsys, argv)
-    assert code == EXIT_OK and out == expected
+    chunks = []
+    real = cli._chunks
+
+    def recorded(pieces, size):
+        for chunk in real(pieces, size):
+            chunks.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(cli, "_chunks", recorded)
     target = tmp_path / "report"
-    assert main([*argv, "--out", str(target)]) == EXIT_OK
-    assert target.read_bytes() == expected.encode("ascii")
+    for destination in ([], ["--out", str(target)]):
+        chunks.clear()
+        code, out, _ = run_cli(capsys, [*argv, *destination])
+        written = target.read_bytes().decode("ascii") if destination else out
+        assert code == EXIT_OK and written == expected
+        assert {len(chunk) for chunk in chunks[:-1]} == {7} and 0 < len(chunks[-1]) <= 7
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 64])
+def test_chunks_cut_the_joined_pieces(size):
+    pieces = ["", "a", "bcdefgh", "", "ij", "klmnopqrstuvwxyz" * 3, "0"]
+    text = "".join(pieces)
+    chunks = list(cli._chunks(pieces, size))
+    assert "".join(chunks) == text
+    assert [len(chunk) for chunk in chunks] == [size] * (len(text) // size) + [len(text) % size] * (len(text) % size > 0)
+    assert list(cli._chunks([], size)) == list(cli._chunks(["", ""], size)) == []
+
+
+UNRENDERABLE = [
+    pytest.param("json", {"s": cli._SLOT, "a": [np.eye(2)], "pass": True}, ValueError, id="json-slot"),
+    pytest.param("json", {"a": np.eye(2), "x": object(), "pass": True}, TypeError, id="json-object"),
+    pytest.param("csv", {"a": np.eye(2), "x": object(), "pass": True}, TypeError, id="csv-object"),
+]
+
+
+@pytest.mark.parametrize("fmt, report, error", UNRENDERABLE)
+def test_render_error_writes_nothing(capsys, monkeypatch, tmp_path, fmt, report, error):
+    # the report is rendered whole before the first write
+    monkeypatch.setitem(cli.COMMANDS, "verify-all", lambda args: report)
+    target = tmp_path / "report"
+    with pytest.raises(error):
+        main(["verify-all", "--format", fmt, "--out", str(target)])
+    assert not target.exists()
+    with pytest.raises(error):
+        main(["verify-all", "--format", fmt])
+    assert capsys.readouterr() == ("", "")
+
+
+def test_report_copies_stay_out_of_the_peak(tmp_path):
+    # a json or csv report is written from pieces that share its rows' text:
+    # a whole-report join, or a slice of it, held beside them would lift the
+    # peak above the text command's by about the report's size
+    argv = ["run", "bitantibit", "--mediator-bits", "6", "--out", str(tmp_path / "report")]
+
+    def peak(fmt):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--format", fmt]) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak("json")  # warm-up
+    text = peak("text")
+    for fmt in ("json", "csv"):
+        extra = peak(fmt) - text
+        size = (tmp_path / "report").stat().st_size
+        assert extra < size / 2, (fmt, extra, size)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """The report renderers against the stdlib ``json`` encoder and ``csv`` writer.
 
-``cli.format_array`` writes complex arrays and the witness's correlation
-table straight from numpy, and ``cli.render_csv`` quotes its cells itself.
+``cli._array_parts`` writes complex arrays and the witness's correlation
+table straight from numpy, and ``cli.render_csv`` quotes its cells itself;
+every renderer returns its report as a list of pieces, compared here joined.
 The oracle is the encoding they replaced: arrays turned into nested lists of
 [re, im] pairs (``pairs``), the table into its rows (``table_rows``), and the
 whole report passed through ``json.JSONEncoder(indent=2)``, or ``json.dumps``
@@ -92,6 +93,10 @@ ORACLES = {"json": oracle_json, "csv": oracle_csv}
 # the formatter
 
 
+def format_array(a, level=None) -> str:
+    return "".join(cli._array_parts(a, level))
+
+
 def random_array(rng, shape):
     """Seeded complex values: random floats, repeats, and planted values."""
     pool = np.concatenate([PLANTED, rng.normal(size=3)])
@@ -113,26 +118,26 @@ def test_format_array_matches_json(shape):
     rng = np.random.default_rng(sum(shape) * 100 + len(shape))
     for _ in range(20):
         a = random_array(rng, shape)
-        assert cli.format_array(a) == json.dumps(pairs(a))
+        assert format_array(a) == json.dumps(pairs(a))
         indented = json.dumps(pairs(a), indent=2)
         for level in range(5):
-            assert cli.format_array(a, level) == indented.replace("\n", "\n" + "  " * level)
+            assert format_array(a, level) == indented.replace("\n", "\n" + "  " * level)
 
 
 def test_format_array_planted_values():
     a = np.empty(len(PLANTED), dtype=complex)
     a.real, a.imag = PLANTED, PLANTED[::-1]
-    text = cli.format_array(a)
+    text = format_array(a)
     assert text == json.dumps(pairs(a))
     for token in ("-0.0", "5e-324", "1e-05", "1e+16", "0.3333333333333333", "NaN", "Infinity", "-Infinity"):
         assert token in text
 
 
 def assert_matches_json(a):
-    assert cli.format_array(a) == json.dumps(pairs(a))
+    assert format_array(a) == json.dumps(pairs(a))
     indented = json.dumps(pairs(a), indent=2)
     for level in range(5):
-        assert cli.format_array(a, level) == indented.replace("\n", "\n" + "  " * level)
+        assert format_array(a, level) == indented.replace("\n", "\n" + "  " * level)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -195,14 +200,23 @@ TABLE_CASES = {
 def test_correlation_table_matches_json(table):
     rows = table_rows(table)
     assert len(rows) == len(table)
-    assert cli.format_array(table) == json.dumps(rows)
+    assert format_array(table) == json.dumps(rows)
     indented = json.dumps(rows, indent=2)
     for level in range(4):
-        assert cli.format_array(table, level) == indented.replace("\n", "\n" + "  " * level)
+        assert format_array(table, level) == indented.replace("\n", "\n" + "  " * level)
+
+
+def test_compact_array_text_needs_no_csv_escaping():
+    # render_csv quotes an array cell around its pieces without doubling quotes
+    rng = np.random.default_rng(11)
+    arrays = [*ROW_CASES.values(), *TABLE_CASES.values(), *(random_array(rng, shape) for shape in SHAPES)]
+    for a in arrays:
+        text = format_array(a)
+        assert not any(ch in text for ch in '"\r\n'), text
 
 
 def test_correlation_table_planted_values():
-    text = cli.format_array(TABLE_CASES["planted"])
+    text = format_array(TABLE_CASES["planted"])
     tokens = ("[0, 0, ", "[3, 4, ", "-0.0", "5e-324", "1e+16", "0.3333333333333333", "NaN", "Infinity", "-Infinity")
     assert all(token in text for token in tokens)
 
@@ -215,9 +229,11 @@ def _planted_report() -> dict:
     """Arrays at the top level, as list items and in dicts in lists, among
     empty containers and strings holding line breaks."""
     rng = np.random.default_rng(7)
+    matrix = random_array(rng, (2, 2))
     return {
         "vector": random_array(rng, (3,)),
-        "matrix": random_array(rng, (2, 2)),
+        "matrix": matrix,
+        "again": [matrix, {"deeper": [matrix, matrix[::-1]]}],  # the same rows at other levels
         "text": "two\nlines\n",
         "empty": {},
         "none": [],
@@ -232,9 +248,8 @@ def _planted_report() -> dict:
 
 
 def test_render_json_matches_oracle_on_planted_report():
-    report = _planted_report()
-    assert cli.render_json(report) == oracle_json(report)
-    assert cli.render_json({}) == oracle_json({}) and cli.render_json({"a": []}) == oracle_json({"a": []})
+    for report in (_planted_report(), {}, {"a": []}):
+        assert "".join(cli.render_json(report)) == oracle_json(report)
 
 
 @pytest.mark.parametrize("text", [cli._SLOT, 'a"' + cli._SLOT], ids=["slot", "ends in quote and slot"])
@@ -247,7 +262,7 @@ def test_render_json_refuses_a_string_that_reads_as_a_slot(text):
 
 def test_render_json_refuses_other_objects():
     # numpy floats are floats; numpy ints are neither an array nor a json value
-    assert cli.render_json({"x": np.float64(0.5)}) == oracle_json({"x": 0.5})
+    assert "".join(cli.render_json({"x": np.float64(0.5)})) == oracle_json({"x": 0.5})
     with pytest.raises(TypeError, match="int64"):
         cli.render_json({"x": np.int64(1)})
 
@@ -292,7 +307,8 @@ def _reports():
 
 def test_csv_matches_stdlib_writer_on_every_report():
     for name, report in _reports():
-        assert cli.render_csv(report) == stdlib_csv(cli._csv_rows(report)), name
+        rows = [(section, key, "".join(value)) for section, key, value in cli._csv_rows(report)]
+        assert "".join(cli.render_csv(report)) == stdlib_csv(rows), name
 
 
 # cells the excel dialect quotes, and some it does not; every row has three
@@ -306,9 +322,17 @@ def test_csv_planted_cells_match_stdlib_writer():
     report = {cell: cell for cell in PLANTED_CELLS}
     report["nested,"] = {f"{a}{b}": [a, b] for a in PLANTED_CELLS for b in PLANTED_CELLS}
     report["list"] = [{cell: i} for i, cell in enumerate(PLANTED_CELLS)]
-    assert cli.render_csv(report) == oracle_csv(report)
+    # array cells: quoted when they hold a comma, as all but empty tables do
+    report["arrays"] = {
+        "table": TABLE_CASES["one row"],
+        "empty table": TABLE_CASES["empty"],
+        "list": [np.eye(2), TABLE_CASES["empty"], np.eye(2)[::-1], np.eye(3)],
+        "list of an empty table": [TABLE_CASES["empty"]],
+    }
+    assert "".join(cli.render_csv(report)) == oracle_csv(report)
     rows = [(a, b, c) for a in PLANTED_CELLS for b in PLANTED_CELLS for c in PLANTED_CELLS[::-1]]
-    assert cli.render_csv({}) + "".join(map(cli._csv_line, rows)) == stdlib_csv(rows)
+    lines = [piece for a, b, c in rows for piece in cli._csv_line(a, b, [c])]
+    assert "".join(cli.render_csv({}) + lines) == stdlib_csv(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +371,6 @@ def test_text_report_formats_no_array(monkeypatch, tmp_path, steps):
     def refuse(*args, **kwargs):
         raise AssertionError("a text report formatted an array")
 
-    monkeypatch.setattr(cli, "format_array", refuse)
     monkeypatch.setattr(cli, "_array_parts", refuse)
     out = tmp_path / "report.txt"
     argv = ["run", "bitantibit", "--mediator-bits", "6", "--format", "text", *steps]
