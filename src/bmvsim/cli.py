@@ -17,10 +17,8 @@ import argparse
 import json
 import os
 import sys
-from bisect import bisect_right
 from collections.abc import Iterator
 from functools import cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -95,7 +93,7 @@ def _interleave(head: str, items: list[str], seps: list[str]) -> list[str]:
 _ARRAYS = (np.ndarray, CorrelationTable)
 
 
-def _array_parts(a, level: int | None = None, texts: dict | None = None) -> list[str]:
+def _array_parts(a, level: int | None, texts: dict) -> list[str]:
     """A complex array of rank >= 1 as JSON nested lists of [re, im] pairs, or
     a correlation table as its JSON rows (``_table_parts``), in pieces.
 
@@ -108,7 +106,7 @@ def _array_parts(a, level: int | None = None, texts: dict | None = None) -> list
     json itself, and the rows are joined with the separators of the outer axes.
     Protocol matrices are sparse with exact rational or 1/sqrt(2) entries, so
     most rows repeat, also from one checkpoint's matrix to the next: a caller
-    that formats several arrays passes one ``texts`` dict to every call, and a
+    passes one ``texts`` dict to the calls for all arrays of a report, and a
     row is formatted once for all of them.
     """
     if isinstance(a, CorrelationTable):
@@ -119,7 +117,7 @@ def _array_parts(a, level: int | None = None, texts: dict | None = None) -> list
     row_level = None if level is None else level + rank
     row_head, row_seps = _separators((a.shape[-1], 2), row_level)
     # a row's text depends only on its level and its bytes, whose count fixes its length
-    known = ({} if texts is None else texts).setdefault(row_level, {})
+    known = texts.setdefault(row_level, {})
     leaves = []
     for row in rows:
         key = row.tobytes()
@@ -133,7 +131,7 @@ def _array_parts(a, level: int | None = None, texts: dict | None = None) -> list
     return _interleave(head, leaves, seps)
 
 
-def _table_parts(table: CorrelationTable, level: int | None = None) -> list[str]:
+def _table_parts(table: CorrelationTable, level: int | None) -> list[str]:
     """The correlation table as the JSON rows [i, j, Tr(A_i rho), Tr(B_j rho),
     Tr(A_i B_j rho)], in pieces laid out as ``_array_parts`` lays out an
     array.  Every number is written by one json.dumps call, each expectation
@@ -230,33 +228,37 @@ def build_verify_report(eps: float) -> dict:
 # rendering
 
 
-_SLOT = "\0array"  # what json.dumps writes in place of each array
+def _json_parts(value, level: int | None, texts: dict, out: list[str]) -> None:
+    """Append the JSON text of ``value`` to ``out`` in pieces: the bytes of
+    ``json.dumps(value, indent=2)`` for a value ``level`` containers deep, or
+    with ``level`` None those of compact ``json.dumps``.  Arrays and
+    correlation tables are written by ``_array_parts``, which shares ``texts``
+    among them; tuples are written as lists, a key that is not a string is
+    refused, and any other value is written by json itself.  It recurses as a
+    module function: a nested function that calls itself is a reference cycle."""
+    if isinstance(value, _ARRAYS):
+        out += _array_parts(value, level, texts)
+    elif isinstance(value, (dict, list, tuple)) and value:
+        is_dict = isinstance(value, dict)
+        if is_dict and not all(isinstance(key, str) for key in value):
+            raise TypeError(f"report keys must be str: {list(value)!r}")
+        inner = None if level is None else level + 1
+        pad = "" if level is None else "\n" + "  " * inner
+        lead = ("{" if is_dict else "[") + pad
+        for key, item in value.items() if is_dict else enumerate(value):
+            out.append((lead + json.dumps(key) + ": ") if is_dict else lead)
+            _json_parts(item, inner, texts, out)
+            lead = ", " if level is None else "," + pad
+        out.append(("" if level is None else "\n" + "  " * level) + ("}" if is_dict else "]"))
+    else:
+        out.append(json.dumps(value))
 
 
 def render_json(report: dict) -> list[str]:
-    """``json.dumps(report, indent=2)`` in pieces: one encoder pass writes a
-    slot in place of each array, and the text between the slots is interleaved
-    with the arrays' ``_array_parts``."""
-    arrays: list = []
-    texts: dict = {}
-
-    def slot(value):
-        if not isinstance(value, _ARRAYS):
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        arrays.append(value)
-        return _SLOT
-
-    gaps = json.dumps(report, indent=2, default=slot).split(json.dumps(_SLOT))
-    if len(gaps) != len(arrays) + 1:
-        raise ValueError(f"a report string holds the array slot {_SLOT!r}")
-    out = [gaps[0]]
-    for array, gap in zip(arrays, gaps[1:]):
-        # json escapes newlines in strings: the last one it wrote starts the slot's line
-        line = out[-1][out[-1].rfind("\n") + 1 :]
-        out += _array_parts(array, (len(line) - len(line.lstrip(" "))) // 2, texts)
-        out.append(gap)
-    # the encoder's closures form a cycle that keeps `slot`, and so the list, until a gc pass
-    arrays.clear()
+    """``json.dumps(report, indent=2)`` in pieces, the arrays of one report
+    sharing their row texts."""
+    out: list[str] = []
+    _json_parts(report, 0, {}, out)
     out.append("\n")
     return out
 
@@ -276,17 +278,13 @@ def _csv_rows(value, prefix: str = "") -> Iterator[tuple[str, str, list[str]]]:
 
 
 def _cell_parts(value) -> list[str]:
-    """The compact json text of a value, in pieces: an array, a list of arrays
-    such as the mediator states, or one piece for any other json value."""
-    if isinstance(value, _ARRAYS):
-        return _array_parts(value)
-    if isinstance(value, list) and value and all(isinstance(item, _ARRAYS) for item in value):
+    """The compact json text of a value, in pieces: an array or a list of
+    arrays, such as the mediator states, in those of ``_json_parts``, and one
+    piece for any other json value."""
+    items = value if isinstance(value, list) and value else [value]
+    if all(isinstance(item, _ARRAYS) for item in items):
         parts: list[str] = []
-        texts: dict = {}
-        for array in value:
-            parts += [", ", *_array_parts(array, None, texts)]
-        parts[0] = "["
-        parts.append("]")
+        _json_parts(value, None, {}, parts)
         return parts
     return [json.dumps(value)]
 
@@ -348,32 +346,31 @@ def render_text(report: dict) -> list[str]:
 RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}
 
 
-# Reports are written in chunks of this many characters, cut from the
-# renderer's pieces: the text layer encodes what it is given in one piece, so
-# neither the report text nor an encoded copy of it is ever held whole.  Writing
-# the k = 6 json report (2.9 MB, render included, median of 60 on a 2-vCPU
-# Xeon) took 9.8 / 7.8 / 6.2 / 5.7 / 8.8 ms in chunks of 4 KiB / 16 KiB /
-# 64 KiB / 256 KiB / 1 MiB; 64 KiB is as fast as 256 KiB within their spread,
-# and stays below malloc's default 128 KiB threshold for a fresh mapping.
+# Reports are written in chunks of at least this many characters, joined from
+# the renderer's pieces: the text layer encodes what it is given in one piece,
+# so neither the report text nor an encoded copy of it is ever held whole.
+# Writing the k = 6 json report (2.9 MB, render included, median of 60 on a
+# 2-vCPU Xeon) took 9.8 / 7.8 / 6.2 / 5.7 / 8.8 ms in chunks of 4 KiB / 16 KiB /
+# 64 KiB / 256 KiB / 1 MiB; 64 KiB is as fast as 256 KiB within their spread.
+# A chunk holds fewer than 64 Ki characters plus the longest piece (a 25.6 K
+# row at k = 9 json): below malloc's 128 KiB threshold for a fresh mapping.
 _WRITE_SLICE = 1 << 16
 
 
 def _chunks(pieces: list[str], size: int) -> Iterator[str]:
-    """The joined text of ``pieces`` in consecutive chunks of ``size``
-    characters, the last one shorter.  Each chunk is cut from the pieces that
-    hold it, found by bisecting their offsets: no Python step runs per piece."""
-    offsets = list(accumulate(map(len, pieces), initial=0))
-    total = offsets[-1]
-    for start in range(0, total, size):
-        stop = min(start + size, total)
-        # the (non-empty) pieces that hold the chunk's first and last characters
-        first = bisect_right(offsets, start) - 1
-        last = bisect_right(offsets, stop - 1) - 1
-        head, tail = start - offsets[first], stop - offsets[last]
-        if first == last:
-            yield pieces[first][head:tail]
-        else:
-            yield "".join([pieces[first][head:], *pieces[first + 1 : last], pieces[last][:tail]])
+    """The joined text of ``pieces`` in chunks: the pieces gathered so far are
+    joined once they hold ``size`` characters, and the rest at the end.  No
+    chunk is empty, and each but the last holds at least ``size`` characters
+    and fewer than ``size`` plus the longest piece."""
+    gathered, length = [], 0
+    for piece in pieces:
+        gathered.append(piece)
+        length += len(piece)
+        if length >= size:
+            yield "".join(gathered)
+            gathered, length = [], 0
+    if length:
+        yield "".join(gathered)
 
 
 def _emit(report: dict, fmt: str, out: str | None) -> int:
@@ -461,8 +458,8 @@ def cmd_run(args) -> dict:
             raise UsageError("--mediator-bits must be at least 2")
         if args.mediator_bits > MAX_MEDIATOR_BITS:
             raise UsageError(
-                f"--mediator-bits must be at most {MAX_MEDIATOR_BITS}: the report would "
-                "need more than 1 GiB"
+                f"--mediator-bits must be at most {MAX_MEDIATOR_BITS}: at k = 10 the "
+                "mediators would hold about 350 MiB, and a json report about 1 GiB"
             )
         options["mediator_bits"] = args.mediator_bits
     eps = _resolve_eps(args.eps)

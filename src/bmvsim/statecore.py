@@ -160,15 +160,3 @@ def hermitian_basis(dim: int) -> list[np.ndarray]:
             a[j, i] = 1.0j
             out.append(a)
     return out
-
-
-def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unit vector."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (g + dagger(g)) / 2
-

@@ -47,11 +47,10 @@ from bmvsim.statecore import (
     in_span,
     mat_close,
     partial_trace,
-    random_hermitian,
-    random_state,
     tensor,
 )
 from bmvsim.witness import schmidt_rank
+from test_statecore import random_hermitian, random_state
 
 SQ2 = np.sqrt(2.0)
 

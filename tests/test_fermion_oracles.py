@@ -28,7 +28,8 @@ from bmvsim.fermion_ssr import (
     vacuum_state,
     word_matrix,
 )
-from bmvsim.statecore import dagger, dyad, mat_close, random_state, reduce_pure
+from bmvsim.statecore import dagger, dyad, mat_close, reduce_pure
+from test_statecore import random_state
 
 #: Rank tolerance of the oracles below, compared with singular values and
 #: Gram-Schmidt norms.  Every offset class of a full register up to

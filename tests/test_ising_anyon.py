@@ -28,8 +28,8 @@ from bmvsim.ising_anyon import (
     unitary_v_q1m,
     unitary_w_mq2,
 )
-from bmvsim.statecore import EPS, commutator, dagger, dyad, mat_close, random_state, tensor
-from test_statecore import is_unitary, random_unitary
+from bmvsim.statecore import EPS, commutator, dagger, dyad, mat_close, tensor
+from test_statecore import is_unitary, random_state, random_unitary
 
 SQ2 = np.sqrt(2.0)
 SHAPES = (Partition.CENTER, Partition.LEFT, Partition.RIGHT)

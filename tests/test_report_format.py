@@ -94,7 +94,7 @@ ORACLES = {"json": oracle_json, "csv": oracle_csv}
 
 
 def format_array(a, level=None) -> str:
-    return "".join(cli._array_parts(a, level))
+    return "".join(cli._array_parts(a, level, {}))
 
 
 def random_array(rng, shape):
@@ -225,9 +225,12 @@ def test_correlation_table_planted_values():
 # the json renderer
 
 
+SLOTS = ("\0array", 'a"\0array')
+
+
 def _planted_report() -> dict:
     """Arrays at the top level, as list items and in dicts in lists, among
-    empty containers and strings holding line breaks."""
+    empty containers and strings holding line breaks, NUL characters or quotes."""
     rng = np.random.default_rng(7)
     matrix = random_array(rng, (2, 2))
     return {
@@ -244,20 +247,30 @@ def _planted_report() -> dict:
             [],
         ],
         "last": TABLE_CASES["planted"],
+        # strings a renderer that wrote a placeholder for each array would mistake for one
+        "slot": SLOTS[0],
+        "slots": [*SLOTS, np.eye(2)],
+        SLOTS[1]: {SLOTS[0]: random_array(rng, (2,))},
     }
 
 
 def test_render_json_matches_oracle_on_planted_report():
     for report in (_planted_report(), {}, {"a": []}):
         assert "".join(cli.render_json(report)) == oracle_json(report)
+        compact: list[str] = []
+        cli._json_parts(report, None, {}, compact)
+        assert "".join(compact) == json.dumps(to_lists(report))
 
 
-@pytest.mark.parametrize("text", [cli._SLOT, 'a"' + cli._SLOT], ids=["slot", "ends in quote and slot"])
-def test_render_json_refuses_a_string_that_reads_as_a_slot(text):
-    # the slot's json text appears in the encoded string, so an array would land there
-    for report in ({"s": text, "a": np.eye(2)}, {"a": np.eye(2), "s": [text]}, {text: 1}):
-        with pytest.raises(ValueError, match="array slot"):
-            cli.render_json(report)
+def test_render_json_tuples_are_lists_and_keys_are_strings():
+    # no report holds either; json would write a tuple as a list and coerce
+    # some keys to strings, where render_json refuses every key that is not one
+    report = {"pair": (0, 1), "arrays": (np.eye(2), (TABLE_CASES["one row"], ())), "lists": [(), (1.5,)]}
+    as_lists = {"pair": [0, 1], "arrays": [np.eye(2), [TABLE_CASES["one row"], []]], "lists": [[], [1.5]]}
+    assert "".join(cli.render_json(report)) == oracle_json(as_lists)
+    for key in (1, 1.5, True, None, (1, 2)):
+        with pytest.raises(TypeError, match="keys must be str"):
+            cli.render_json({"ok": {key: 1}})
 
 
 def test_render_json_refuses_other_objects():

@@ -14,8 +14,6 @@ from bmvsim.statecore import (
     is_hermitian,
     mat_close,
     partial_trace,
-    random_hermitian,
-    random_state,
     reduce_pure,
     tensor,
 )
@@ -31,6 +29,17 @@ def is_unitary(m: np.ndarray, eps: float = EPS) -> bool:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     return mat_close(m @ dagger(m), np.eye(m.shape[0]), eps)
+
+
+def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-ish random unit vector."""
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (g + dagger(g)) / 2
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

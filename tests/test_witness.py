@@ -20,13 +20,14 @@ from bmvsim.ising_anyon import (
     sector_index,
     trace_mediator,
 )
-from bmvsim.statecore import EPS, EPS_MIN, dyad, hermitian_basis, mat_close, random_hermitian, random_state, tensor
+from bmvsim.statecore import EPS, EPS_MIN, dyad, hermitian_basis, mat_close, tensor
 from bmvsim.witness import (
     LocalObservableSet,
     purity,
     schmidt_rank,
     uncorrelated_test,
 )
+from test_statecore import random_hermitian, random_state
 
 
 @dataclass
