@@ -394,7 +394,7 @@ def _crit_property_suites(eps, tables, traces):
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             # a signed permutation is a Hermitian involution iff these hold
-            perm, signs = fer.fermionic_swap(n, i, j)
+            perm, signs = fer.fermionic_swap(n, i, j, np.arange(1 << n))
             if not (np.array_equal(perm[perm], np.arange(1 << n)) and np.array_equal(signs[perm], signs)):
                 failures.append(f"swap({i},{j})")
 

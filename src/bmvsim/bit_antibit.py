@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .statecore import EPS, hermitian_basis, partial_trace, reduce_pure, tensor
+from .statecore import EPS, hermitian_basis, partial_trace, reduce_support, support_states, tensor
 from .witness import LocalObservableSet, ProtocolTrace, run_protocol
 
 
@@ -108,10 +108,13 @@ def validate_state(sig: SystemSignature, vec: np.ndarray, eps: float = EPS) -> t
     return True, PairingCertificate(pairing, offsets, tail)
 
 
-def swap_bits(sig: SystemSignature, b1: str, b2: str) -> np.ndarray:
-    """Basis-index permutation exchanging the slots of two bits.
+def swap_bits(sig: SystemSignature, b1: str, b2: str, indices: np.ndarray) -> np.ndarray:
+    """The basis indices ``indices`` with the slots of two bits exchanged.
 
-    ``state[swap_bits(sig, b1, b2)]`` applies the swap; a swap is an
+    The swap moves the amplitude at each index to the returned one, so it
+    maps a state's support to the new support with the same amplitudes.
+    On ``np.arange(sig.dim)`` it gives the swap as a permutation ``perm``,
+    and ``state[perm]`` applies it to a dense state: a swap is an
     involution, so the permutation is its own inverse.  Only bits may be
     swapped; the mediation protocol never moves anti-bits.
     """
@@ -125,9 +128,8 @@ def swap_bits(sig: SystemSignature, b1: str, b2: str) -> np.ndarray:
     bits = sig.slots
     p1 = bits - 1 - sig.slot_of(b1)
     p2 = bits - 1 - sig.slot_of(b2)
-    idx = np.arange(sig.dim)
-    differ = ((idx >> p1) ^ (idx >> p2)) & 1
-    return idx ^ (differ << p1) ^ (differ << p2)
+    differ = ((indices >> p1) ^ (indices >> p2)) & 1
+    return indices ^ (differ << p1) ^ (differ << p2)
 
 
 # ---------------------------------------------------------------------------
@@ -186,20 +188,29 @@ def run_bit_antibit_protocol(mediator_bits: int = 2, eps: float = EPS) -> Protoc
     bell = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
     zeros = np.zeros(1 << k, dtype=complex)
     zeros[0] = 1.0
+    initial = tensor(bell, zeros, bell)
+    support = np.flatnonzero(initial)
+    # a swap moves amplitudes between indices, so every checkpoint has these
+    amplitudes = initial[support]
 
-    dims = [2] * sig.slots
     mediator_slots = [sig.slot_of(f"B{i}") for i in range(2, k + 2)]
     matter_slots = [sig.slot_of(s) for s in ("A1", "B1", f"B{k + 2}", "A2")]
 
     def swap(b1: str, b2: str):
-        return f"swap({b1},{b2})", lambda state: state[swap_bits(sig, b1, b2)]
+        return f"swap({b1},{b2})", lambda indices: swap_bits(sig, b1, b2, indices)
 
-    def reduce(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return reduce_pure(state, dims, mediator_slots), reduce_pure(state, dims, matter_slots)
+    def reduce(supports: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        indices = np.stack(supports)
+        amps = np.broadcast_to(amplitudes, indices.shape)
+        return (
+            support_states(indices, amps, sig.slots),
+            reduce_support(indices, amps, sig.slots, mediator_slots),
+            reduce_support(indices, amps, sig.slots, matter_slots),
+        )
 
     return run_protocol(
         "bitantibit",
-        tensor(bell, zeros, bell),
+        support,
         (swap(b1, b2) for b1, b2 in swap_chain(k)),
         reduce,
         lambda matter: (partial_trace(matter, [4, 4], [0]), partial_trace(matter, [4, 4], [1])),

@@ -37,13 +37,14 @@ EXIT_IO = 3
 MODELS = tuple(RUNNERS)
 
 # `run bitantibit --mediator-bits k` holds 2k + 2 dense mediator matrices of
-# 4^k complex entries.  Its report is streamed to its destination, so json, csv
-# and text peak alike, at what the protocol holds.  Peak RSS and wall time per
-# command, json / csv / text, fresh process, median of 5 (3 at k = 9), on a
-# 2-vCPU Xeon: k = 8 53 / 53 / 53 MiB, 0.28 / 0.23 / 0.22 s; k = 9 125 / 125 /
-# 125 MiB, 0.42 / 0.40 / 0.33 s.  k = 10 would hold about 350 MiB of mediators
-# (22 matrices of 16 MiB) and write a json file of about 1 GiB (4x the 262 MB
-# of k = 9): a larger k is rejected before it allocates.
+# 4^k complex entries, one zero-filled stack written only at the support's
+# entries.  Its report is streamed to its destination, so json, csv and text
+# peak alike, at what the protocol holds.  Peak RSS and wall time per command,
+# json / csv / text, fresh process, median of 5 (3 at k = 9), on a 2-vCPU
+# Xeon: k = 8 52 / 52 / 52 MiB, 0.16 / 0.16 / 0.18 s; k = 9 89 / 85 / 85 MiB,
+# 0.23 / 0.20 / 0.18 s.  k = 10 would hold a stack of about 350 MiB (22
+# matrices of 16 MiB) and write a json file of about 1 GiB (4x the 262 MB of
+# k = 9): a larger k is rejected before it allocates.
 MAX_MEDIATOR_BITS = 9
 
 

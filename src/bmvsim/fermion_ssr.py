@@ -35,8 +35,9 @@ on parity-even operators the order does not matter (covered by the test
 suite).  The sign is a ket sign times a bra sign, and ``_trace_signs`` gives
 it for every basis index; it is the one place the rule is written.  The trace
 is thus ``statecore.partial_trace`` of the signed operator, or for the
-protocol's pure states ``statecore.reduce_pure`` of the signed state vector.
-The swap gates are signed basis-index permutations of the state vector.
+protocol's pure states, held on their support, ``statecore.reduce_support``
+of the amplitudes times the signs at the support.  The swap gates are signed
+basis-index permutations, evaluated at the support.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from functools import cache
 
 import numpy as np
 
-from .statecore import EPS, dagger, partial_trace, reduce_pure
+from .statecore import EPS, dagger, partial_trace, reduce_support, support_states
 from .witness import LocalObservableSet, ProtocolTrace, run_protocol
 
 # Bound on |log2|det| - closed form| of ``count_scaling_check``'s classes.
@@ -285,27 +286,28 @@ def fermionic_partial_trace(m: np.ndarray, n: int, traced) -> np.ndarray:
 # fermionic swap gates
 
 
-def fermionic_swap(n: int, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+def fermionic_swap(n: int, i: int, j: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unitary exchanging modes i and j, fixing the vacuum, as a signed basis
-    permutation ``(perm, signs)``: ``signs * state[perm]`` applies it.
+    permutation evaluated at the basis indices ``indices``: ``(perm, signs)``.
 
     ``perm`` exchanges the occupations s_i and s_j; the sign is that of
     reordering the permuted creation word: -1 when both modes are occupied,
     (-1)^(occupied modes strictly between i and j) when exactly one is, and +1
-    when neither is.  The gate is an involution: ``perm[perm]`` is the
-    identity and ``signs[perm] == signs``.
+    when neither is.  The gate is an involution: on ``np.arange(1 << n)``,
+    ``perm[perm]`` is the identity and ``signs[perm] == signs``, and
+    ``signs * state[perm]`` applies it to a dense state.  So a state held on
+    its support moves to ``perm`` with its amplitudes times ``signs``.
     """
     if i == j:
         raise ValueError("bad-swap: swap modes must differ")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"bad-mode: swap modes outside 1..{n}")
     high, low = n - min(i, j), n - max(i, j)  # bit positions of the two modes
-    idx = np.arange(1 << n)
-    both = (idx >> high) & (idx >> low) & 1
-    differ = ((idx >> high) ^ (idx >> low)) & 1
+    both = (indices >> high) & (indices >> low) & 1
+    differ = ((indices >> high) ^ (indices >> low)) & 1
     between = ((1 << high) - 1) ^ ((2 << low) - 1)
-    signs = np.where(both, -1.0, np.where(differ, _parity_signs(idx & between), 1.0))
-    return idx ^ (differ << high) ^ (differ << low), signs
+    signs = np.where(both, -1.0, np.where(differ, _parity_signs(indices & between), 1.0))
+    return indices ^ (differ << high) ^ (differ << low), signs
 
 
 # ---------------------------------------------------------------------------
@@ -341,25 +343,31 @@ def run_fermion_protocol(eps: float = EPS) -> ProtocolTrace:
     n = 5
     c = {j: creator_matrix(n, j) for j in range(1, 6)}
     psi = 0.5 * ((c[1] + c[2]) @ c[3] @ (c[4] + c[5]) @ vacuum_state(n))
-    dims = [2] * n
+    support = np.flatnonzero(psi)
     mediator_signs = _trace_signs(n, (1, 2, 4, 5))
     matter_signs = _trace_signs(n, (3,))
 
-    def reduce(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return reduce_pure(mediator_signs * state, dims, [2]), reduce_pure(matter_signs * state, dims, [0, 1, 3, 4])
+    def reduce(states: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        indices, amps = (np.stack(part) for part in zip(*states))
+        return (
+            support_states(indices, amps, n),
+            reduce_support(indices, mediator_signs[indices] * amps, n, [2]),
+            reduce_support(indices, matter_signs[indices] * amps, n, [0, 1, 3, 4]),
+        )
 
     def swap(a: int, b: int):
-        def gate(state: np.ndarray) -> np.ndarray:
-            perm, signs = fermionic_swap(n, a, b)
+        def gate(state: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+            indices, amps = state
+            perm, signs = fermionic_swap(n, a, b, indices)
             # (-1) * 0.0 is -0.0, which reports print as "-0.0"; adding 0.0
-            # keeps every zero amplitude +0.0
-            return signs * state[perm] + 0.0
+            # keeps every zero part of an amplitude +0.0
+            return perm, signs * amps + 0.0
 
         return f"swap({a},{b})", gate
 
     return run_protocol(
         "fermion",
-        psi,
+        (support, psi[support]),
         (swap(a, b) for a, b in ((2, 3), (3, 4), (2, 3))),
         reduce,
         lambda matter: (

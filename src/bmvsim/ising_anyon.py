@@ -257,7 +257,7 @@ def run_anyon_protocol(eps: float = EPS) -> ProtocolTrace:
         "anyon",
         initial_protocol_state(),
         (("u_mq2", unitary_u_mq2), ("v_q1m", unitary_v_q1m), ("w_mq2", unitary_w_mq2)),
-        lambda state: (trace_matter_to_mediator(state), trace_mediator(state)),
+        lambda states: (states, [trace_matter_to_mediator(s) for s in states], [trace_mediator(s) for s in states]),
         lambda matter: (qubit_marginal(matter, 1), qubit_marginal(matter, 2)),
         pair_observable_sets(),
         eps=eps,

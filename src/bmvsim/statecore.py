@@ -109,16 +109,45 @@ def partial_trace(m: np.ndarray, dims: list[int], keep) -> np.ndarray:
     return t.reshape(kept_dim, kept_dim)
 
 
-def reduce_pure(psi: np.ndarray, dims: list[int], keep) -> np.ndarray:
-    """``partial_trace(dyad(psi), dims, keep)`` without forming the dyad: the
-    state as a (kept, rest) matrix M gives M M^dagger, kept subsystems in
-    their original relative order."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (int(np.prod(dims)),):
-        raise ValueError("bad-partition: vector length does not match subsystem dims")
-    keep, rest = _split(dims, keep)
-    m = psi.reshape(dims).transpose(keep + rest).reshape(int(np.prod([dims[i] for i in keep])), -1)
-    return m @ m.conj().T
+def support_states(indices: np.ndarray, amplitudes: np.ndarray, bits: int) -> np.ndarray:
+    """The dense vectors of pure states on ``bits`` qubits held on their
+    support: row c holds ``amplitudes[c]`` at ``indices[c]`` and +0.0 elsewhere."""
+    states = np.zeros((len(indices), 1 << bits), dtype=complex)
+    states[np.arange(len(indices))[:, None], indices] = amplitudes
+    return states
+
+
+def reduce_support(indices: np.ndarray, amplitudes: np.ndarray, bits: int, keep) -> np.ndarray:
+    """``partial_trace(dyad(psi), [2] * bits, keep)`` of many pure states at
+    once, each given on its support: row c of the (states, support) arrays
+    ``indices`` and ``amplitudes`` is one state, with distinct indices.
+    Returns the (states, 2^len(keep), 2^len(keep)) stack, kept qubits in
+    their original relative order.
+
+    Two support entries add a_p conj(a_q) to the entry of their kept bits when
+    their traced bits agree, so only those pairs are formed.  Each entry is
+    accumulated from +0.0 in ascending traced index, as the dense product
+    M M^dagger of the state as a (kept, traced) matrix sums it: the product of
+    a zero amplitude changes no nonzero sum, so the two agree bit for bit
+    where that product rounds as numpy's complex product does."""
+    indices = np.asarray(indices, dtype=np.int64)
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    if indices.ndim != 2 or indices.shape != amplitudes.shape:
+        raise ValueError("bad-partition: indices and amplitudes must be (states, support) arrays of one shape")
+    if indices.size and not 0 <= indices.min() <= indices.max() < 1 << bits:
+        raise ValueError(f"bad-partition: basis index outside the {bits}-qubit space")
+    keep, _ = _split([2] * bits, keep)
+    kept = np.zeros_like(indices)
+    for shift in (bits - 1 - q for q in keep):
+        kept = kept << 1 | (indices >> shift) & 1
+    traced = indices & ~sum(1 << (bits - 1 - q) for q in keep)  # traced bits in place: the same order
+    count, dim = len(indices), 1 << len(keep)
+    state, p, q = np.nonzero(traced[:, :, None] == traced[:, None, :])
+    order = np.argsort(traced[state, p], kind="stable")
+    state, p, q = state[order], p[order], q[order]
+    out = np.zeros((count, dim, dim), dtype=complex)
+    np.add.at(out, (state, kept[state, p], kept[state, q]), amplitudes[state, p] * amplitudes[state, q].conj())
+    return out
 
 
 def in_span(target: np.ndarray, basis, eps: float = EPS) -> tuple[bool, float]:
@@ -139,7 +168,8 @@ def in_span(target: np.ndarray, basis, eps: float = EPS) -> tuple[bool, float]:
     if cols.shape[0] != tvec.shape[0]:
         raise ValueError("bad-partition: basis operators must match the target dimension")
     coeffs, *_ = np.linalg.lstsq(cols, tvec, rcond=None)
-    residual = float(np.linalg.norm(tvec - cols @ coeffs))
+    # not cols @ coeffs: that tall-thin product can stall on two BLAS threads
+    residual = float(np.linalg.norm(tvec - (cols * coeffs).sum(axis=1)))
     return residual <= eps * tnorm, residual
 
 

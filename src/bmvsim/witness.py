@@ -17,6 +17,7 @@ embeddings, which for a (x) 1 and 1 (x) b is the tensor composition a (x) b.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -29,13 +30,14 @@ from .statecore import EPS, EPS_MIN, close, is_density, mat_close
 _IMAG_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalObservableSet:
     """Hermitian observables of one subsystem, embedded in the joint space.
 
     ``matrices`` may be given as any sequence of square matrices of one shape;
     the set holds them as one read-only (count, d, d) complex stack, which
-    protocols may therefore share between runs.
+    protocols may therefore share between runs.  A set compares and hashes
+    by identity, so the products of a pair of sets can be cached.
     """
 
     subsystem: str
@@ -127,6 +129,17 @@ def purity(rho: np.ndarray, eps: float = EPS) -> float:
     return p
 
 
+@lru_cache(maxsize=4)
+def _joint_products(set_a: LocalObservableSet, set_b: LocalObservableSet, dim: int) -> np.ndarray:
+    """The joint observables A_i B_j of every pair of d x d observables, d =
+    ``dim``, as one read-only (na, nb, d, d) stack.  Protocols share their
+    sets between runs, so each pair of sets is multiplied once per process."""
+    stack_a, stack_b = (s.matrices.reshape(-1, dim, dim) for s in (set_a, set_b))
+    joint = stack_a[:, None] @ stack_b
+    joint.flags.writeable = False
+    return joint
+
+
 def uncorrelated_test(
     rho: np.ndarray,
     set_a: LocalObservableSet,
@@ -140,9 +153,10 @@ def uncorrelated_test(
     (within eps) ``not-pure``, observables of another dimension
     ``bad-partition`` and an eps below ``EPS_MIN``, where rounding decides
     the verdict, ``bad-eps``.
-    The joint observable of a pair is the matrix product A B; the table is
-    computed one A at a time, all of B in one stacked product, each entry the
-    trace of one (A B) rho, and held as float64 arrays.  The report flags the
+    The joint observable of a pair is the matrix product A B, formed once
+    per pair of sets (``_joint_products``); the table is computed one A at a
+    time, all of its products with rho in one stacked product, each entry
+    the trace of one (A B) rho, and held as float64 arrays.  The report flags the
     state as uncorrelated iff every pair satisfies the factorization equality
     within eps; otherwise the maximal-violation pair is recorded, ties (within
     eps) broken by lowest index pair.
@@ -161,8 +175,11 @@ def uncorrelated_test(
     expect_b = _real(np.trace(stack_b @ rho, axis1=-2, axis2=-1))
     expect_a = _real(np.trace(stack_a @ rho, axis1=-2, axis2=-1))
     products = np.empty((len(stack_a), len(stack_b)), dtype=complex)
-    for i, a in enumerate(stack_a):
-        products[i] = np.trace((a @ stack_b) @ rho, axis1=-2, axis2=-1)
+    # one A at a time, as a stack of d x d products: a tall (nb * d, d)
+    # product with rho runs on two BLAS threads and stalls when another
+    # process holds a core
+    for i, joint in enumerate(_joint_products(set_a, set_b, dim)):
+        products[i] = np.trace(joint @ rho, axis1=-2, axis2=-1)
     table = CorrelationTable(expect_a, expect_b, _real(products))
 
     # The same IEEE operations as |ea * eb - eab| on Python floats.  A pair
@@ -208,22 +225,23 @@ def run_protocol(
     observable_sets: tuple[LocalObservableSet, LocalObservableSet],
     eps: float = EPS,
 ) -> ProtocolTrace:
-    """Apply ``gates`` to ``initial``, reducing each checkpoint, and certify
-    the initial and the final matter state.
+    """Apply ``gates`` to ``initial``, reduce every checkpoint in one call,
+    and certify the initial and the final matter state.
 
     ``gates`` yields (label, state -> state) pairs; a gate acts on the
-    amplitudes directly (an index permutation, or an anyon phase or swap in
-    one partition) and builds no matrix.  ``reduce`` maps a state to
-    (mediator, matter), ``marginals`` the final matter to (rho_Q1, rho_Q2).
+    state's own form (a pure state's support, or an anyon state in one
+    partition) and builds no matrix.  ``reduce`` maps the list of checkpoint
+    states to the sequences of their recorded states, mediators and matters,
+    ``marginals`` the final matter to (rho_Q1, rho_Q2).
     """
-    steps = [ProtocolStep("initial", initial, *reduce(initial))]
-    state = initial
+    labels, states = ["initial"], [initial]
     for label, gate in gates:
-        state = gate(state)
-        steps.append(ProtocolStep(label, state, *reduce(state)))
+        labels.append(label)
+        states.append(gate(states[-1]))
+    steps = tuple(ProtocolStep(*fields) for fields in zip(labels, *reduce(states), strict=True))
 
     matter_final = steps[-1].matter
     set_q1, set_q2 = observable_sets
     report = uncorrelated_test(matter_final, set_q1, set_q2, eps=eps)
     initial_report = uncorrelated_test(steps[0].matter, set_q1, set_q2, eps=eps)
-    return ProtocolTrace(model, tuple(steps), report, initial_report, marginals(matter_final))
+    return ProtocolTrace(model, steps, report, initial_report, marginals(matter_final))

@@ -239,7 +239,7 @@ def test_criterion_11_property_suites():
 
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            perm, signs = fermionic_swap(n, i, j)
+            perm, signs = fermionic_swap(n, i, j, np.arange(1 << n))
             if not (np.array_equal(perm[perm], np.arange(1 << n)) and np.array_equal(signs[perm], signs)):
                 failures.append(f"swap({i},{j})")
 

@@ -15,6 +15,8 @@ from bmvsim.bit_antibit import (
     validate_state,
 )
 from bmvsim.statecore import EPS, dyad, hermitian_basis, mat_close, partial_trace, tensor
+from test_fermion_oracles import assert_same_bits
+from test_statecore import reduce_pure
 
 RNG = np.random.default_rng(101)
 
@@ -53,6 +55,11 @@ def reference_validate(sig: SystemSignature, vec: np.ndarray, eps: float = EPS):
         if all(admits(cert, values) for values in support):
             return True, cert
     return False, None
+
+
+def swap_permutation(sig: SystemSignature, b1: str, b2: str) -> np.ndarray:
+    """The swap on the whole space: ``state[perm]`` applies it to a dense state."""
+    return swap_bits(sig, b1, b2, np.arange(sig.dim))
 
 
 def dense_swap(sig: SystemSignature, b1: str, b2: str) -> np.ndarray:
@@ -212,11 +219,11 @@ def test_validate_matches_oracle_on_random_signatures():
 
 def test_swap_is_permutation_and_involution():
     for sig, b1, b2 in ALL_BIT_PAIRS:
-        perm = swap_bits(sig, b1, b2)
+        perm = swap_permutation(sig, b1, b2)
         assert perm.dtype.kind == "i"
         assert np.array_equal(np.sort(perm), np.arange(sig.dim))
         assert np.array_equal(perm[perm], np.arange(sig.dim))
-        assert np.array_equal(swap_bits(sig, b2, b1), perm)
+        assert np.array_equal(swap_permutation(sig, b2, b1), perm)
         # state[perm] is the oracle's matrix applied to state
         assert np.array_equal(np.eye(sig.dim)[perm], dense_swap(sig, b1, b2))
 
@@ -225,9 +232,9 @@ def test_swap_action_on_slots():
     sig = SystemSignature(0, 2, ("B1", "B2"))
     x = _vec(sig, [{"B1": 1, "B2": 0}])
     y = _vec(sig, [{"B1": 0, "B2": 1}])
-    assert np.array_equal(x[swap_bits(sig, "B1", "B2")], y)
+    assert np.array_equal(x[swap_permutation(sig, "B1", "B2")], y)
     for sig, b1, b2 in ALL_BIT_PAIRS:
-        perm, dense = swap_bits(sig, b1, b2), dense_swap(sig, b1, b2)
+        perm, dense = swap_permutation(sig, b1, b2), dense_swap(sig, b1, b2)
         for idx in range(sig.dim):
             basis = np.zeros(sig.dim, dtype=complex)
             basis[idx] = 1.0
@@ -242,11 +249,11 @@ def test_swap_action_on_slots():
 def test_swap_rejects_antibits():
     sig = protocol_signature(2)
     with pytest.raises(ValueError, match="swap-on-antibit"):
-        swap_bits(sig, "A1", "B1")
+        swap_permutation(sig, "A1", "B1")
     with pytest.raises(ValueError, match="bad-swap"):
-        swap_bits(sig, "B1", "B1")
+        swap_permutation(sig, "B1", "B1")
     with pytest.raises(ValueError, match="bad-signature"):
-        swap_bits(sig, "B1", "B9")
+        swap_permutation(sig, "B1", "B9")
 
 
 def _random_valid_state(sig: SystemSignature, rng) -> np.ndarray:
@@ -270,7 +277,7 @@ def test_swaps_preserve_validity_on_random_states():
     for trial, (sig, b1, b2) in enumerate(ALL_BIT_PAIRS * 2):
         state = _random_valid_state(sig, RNG)
         assert validate_state(sig, state)[0], f"trial {trial} seed state invalid"
-        swapped = state[swap_bits(sig, b1, b2)]
+        swapped = state[swap_permutation(sig, b1, b2)]
         assert np.array_equal(swapped, dense_swap(sig, b1, b2) @ state)
         assert validate_state(sig, swapped)[0], f"trial {trial} swap({b1},{b2})"
 
@@ -356,10 +363,10 @@ def test_palindromic_chain_is_order_insensitive():
         sig = protocol_signature(k)
         forward = backward = dense = _initial_state(k)
         for b1, b2 in swap_chain(k):
-            forward = forward[swap_bits(sig, b1, b2)]
+            forward = forward[swap_permutation(sig, b1, b2)]
             dense = dense_swap(sig, b1, b2) @ dense
         for b1, b2 in reversed(swap_chain(k)):
-            backward = backward[swap_bits(sig, b1, b2)]
+            backward = backward[swap_permutation(sig, b1, b2)]
         assert np.array_equal(forward, backward)
         assert np.array_equal(forward, dense)
 
@@ -382,6 +389,25 @@ def test_kernel_matches_dense_oracle_protocol(k):
         assert np.array_equal(step.state, psi), step.label
         assert np.array_equal(step.mediator, partial_trace(rho, dims, mediator_slots)), step.label
         assert np.array_equal(step.matter, partial_trace(rho, dims, matter_slots)), step.label
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_support_kernel_matches_dense_reduction_bit_for_bit(k):
+    # the dense path before the protocol ran on its support: whole-space
+    # permutations of the state vector, and reduce_pure at every checkpoint
+    sig = protocol_signature(k)
+    dims = [2] * sig.slots
+    mediator_slots = [sig.slot_of(f"B{i}") for i in range(2, k + 2)]
+    matter_slots = [sig.slot_of(s) for s in ("A1", "B1", f"B{k + 2}", "A2")]
+    states = [_initial_state(k)]
+    for b1, b2 in swap_chain(k):
+        states.append(states[-1][swap_permutation(sig, b1, b2)])
+    trace = run_bit_antibit_protocol(k)
+    assert len(trace.steps) == len(states)
+    for step, psi in zip(trace.steps, states):
+        assert_same_bits(step.state, psi)
+        assert_same_bits(step.mediator, reduce_pure(psi, dims, mediator_slots))
+        assert_same_bits(step.matter, reduce_pure(psi, dims, matter_slots))
 
 
 @pytest.mark.parametrize("k", [3, 4])

@@ -28,8 +28,8 @@ from bmvsim.fermion_ssr import (
     vacuum_state,
     word_matrix,
 )
-from bmvsim.statecore import dagger, dyad, mat_close, reduce_pure
-from test_statecore import random_state
+from bmvsim.statecore import dagger, dyad, mat_close
+from test_statecore import random_state, reduce_pure
 
 #: Rank tolerance of the oracles below, compared with singular values and
 #: Gram-Schmidt norms.  Every offset class of a full register up to
@@ -137,7 +137,7 @@ def reference_swap(n: int, i: int, j: int) -> np.ndarray:
 def swap_matrix(n: int, i: int, j: int) -> np.ndarray:
     """The matrix of ``fermionic_swap``'s signed permutation: row r holds
     signs[r] in column perm[r], so it maps a state to signs * state[perm]."""
-    perm, signs = fermionic_swap(n, i, j)
+    perm, signs = fermionic_swap(n, i, j, np.arange(1 << n))
     m = np.zeros((1 << n, 1 << n), dtype=complex)
     m[np.arange(1 << n), perm] = signs
     return m
@@ -571,7 +571,7 @@ def test_pure_trace_matches_dense_fermionic_trace(n):
                 assert mat_close(pure, dense, 1e-14), traced
 
 
-def _assert_same_bits(a, b):
+def assert_same_bits(a, b):
     for part in (np.real, np.imag):
         x, y = part(np.asarray(a)), part(np.asarray(b))
         assert x.shape == y.shape
@@ -590,7 +590,7 @@ def test_partial_trace_matches_reference_bit_for_bit(n):
         m[zeros] = rng.choice([0.0, -0.0], size=zeros.sum()) + rng.choice([0.0, -0.0], size=zeros.sum()) * 1j
         for size in range(1, n + 1):
             for traced in combinations(range(1, n + 1), size):
-                _assert_same_bits(fermionic_partial_trace(m, n, traced), reference_partial_trace(m, n, traced))
+                assert_same_bits(fermionic_partial_trace(m, n, traced), reference_partial_trace(m, n, traced))
 
 
 def test_protocol_checkpoints_match_dense_oracle_bit_for_bit():
@@ -604,6 +604,9 @@ def test_protocol_checkpoints_match_dense_oracle_bit_for_bit():
     assert len(steps) == len(states)
     for step, state in zip(steps, states):
         rho = dyad(state)
-        _assert_same_bits(step.state, state)
-        _assert_same_bits(step.mediator, reference_partial_trace(rho, n, (1, 2, 4, 5)))
-        _assert_same_bits(step.matter, reference_partial_trace(rho, n, (3,)))
+        assert_same_bits(step.state, state)
+        assert_same_bits(step.mediator, reference_partial_trace(rho, n, (1, 2, 4, 5)))
+        assert_same_bits(step.matter, reference_partial_trace(rho, n, (3,)))
+        # and the dense reduction of the signed state vector that the support kernel replaced
+        assert_same_bits(step.mediator, reduce_pure(_trace_signs(n, (1, 2, 4, 5)) * state, [2] * n, [2]))
+        assert_same_bits(step.matter, reduce_pure(_trace_signs(n, (3,)) * state, [2] * n, [0, 1, 3, 4]))

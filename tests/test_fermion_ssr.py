@@ -276,9 +276,9 @@ def test_swap_conjugation_relation():
 
 def test_swap_errors():
     with pytest.raises(ValueError, match="bad-swap"):
-        fermionic_swap(4, 2, 2)
+        fermionic_swap(4, 2, 2, np.arange(16))
     with pytest.raises(ValueError, match="bad-mode"):
-        fermionic_swap(4, 1, 9)
+        fermionic_swap(4, 1, 9, np.arange(16))
 
 
 def test_protocol_mediator_sequence_and_diagonality():

@@ -2,7 +2,7 @@
 matter qubit, and leaves the other qubit alone.
 
 The gates are the closures each protocol hands to ``run_protocol``, recorded
-as the protocol runs.  A fermion or anyon gate must commute with every
+as the protocol runs; the register models' gates act on a state's support.  A fermion or anyon gate must commute with every
 observable of the qubit it does not touch, and must fail to commute with some
 observable of the qubit it does touch, so the check can tell the two apart.  A
 bit/anti-bit gate is a basis-index permutation and must fix the bit of every
@@ -44,7 +44,12 @@ def test_fermion_gates_commute_with_the_far_qubit(monkeypatch):
     gates = recorded_gates(monkeypatch, fermion_ssr, run_fermion_protocol)
     assert [label for label, _ in gates] == ["swap(2,3)", "swap(3,4)", "swap(2,3)"]
     for label, gate in gates:
-        u = np.stack([gate(column) for column in np.eye(32, dtype=complex)], axis=1)
+        # the gate acts on a state's support: its column for basis state i is
+        # its image of the one-index support [i], made dense
+        u = np.zeros((32, 32), dtype=complex)
+        for i in range(32):
+            indices, amps = gate((np.array([i]), np.ones(1, dtype=complex)))
+            u[indices, i] = amps
         swapped = {int(mode) for mode in re.findall(r"\d+", label)}
         (far,) = [modes for modes in qubits if not swapped & set(modes)]
         (near,) = [modes for modes in qubits if swapped & set(modes)]

@@ -14,7 +14,8 @@ from bmvsim.statecore import (
     is_hermitian,
     mat_close,
     partial_trace,
-    reduce_pure,
+    reduce_support,
+    support_states,
     tensor,
 )
 
@@ -46,6 +47,22 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def reduce_pure(psi: np.ndarray, dims: list[int], keep) -> np.ndarray:
+    """Test oracle, the dense path ``reduce_support`` replaced:
+    ``partial_trace(dyad(psi), dims, keep)`` without forming the dyad, the
+    state as a (kept, rest) matrix M giving M M^dagger, kept subsystems in
+    their original relative order."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (int(np.prod(dims)),):
+        raise ValueError("bad-partition: vector length does not match subsystem dims")
+    keep = sorted(set(int(k) for k in keep))
+    if not keep or keep[0] < 0 or keep[-1] >= len(dims):
+        raise ValueError("bad-partition: keep must be a nonempty subset of subsystem indices")
+    rest = [i for i in range(len(dims)) if i not in keep]
+    m = psi.reshape(dims).transpose(keep + rest).reshape(int(np.prod([dims[i] for i in keep])), -1)
+    return m @ m.conj().T
 
 
 def test_tensor_identity():
@@ -140,6 +157,74 @@ def test_reduce_pure_matches_dense_partial_trace():
                     want = partial_trace(rho, dims, keep)
                     assert mat_close(reduce_pure(psi, dims, keep), want, 1e-14), (dims, keep)
                     assert mat_close(reduce_pure(psi, dims, keep[::-1]), want, 1e-14), (dims, keep)
+
+
+def test_reduce_support_matches_dense_oracle_on_random_sparse_states():
+    # seeded supports in random order, three states per call, on every keep
+    # set; small traced spaces put several terms in one traced group
+    rng = np.random.default_rng(43)
+    most_terms = 0
+    for bits in (1, 2, 3, 5, 7):
+        for size in sorted(s for s in {1, 2, 5, 1 << (bits - 1), 1 << bits} if s <= 1 << bits):
+            indices = np.array([rng.choice(1 << bits, size, replace=False) for _ in range(3)])
+            amps = rng.standard_normal(indices.shape) + 1j * rng.standard_normal(indices.shape)
+            amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+            dense = support_states(indices, amps, bits)
+            assert np.array_equal(dense[np.arange(3)[:, None], indices], amps)
+            assert np.count_nonzero(dense) == indices.size
+            for count in range(1, bits + 1):
+                for keep in combinations(range(bits), count):
+                    got = reduce_support(indices, amps, bits, keep[::-1])
+                    assert got.shape == (3, 1 << count, 1 << count)
+                    for state, psi in zip(got, dense):
+                        assert mat_close(state, reduce_pure(psi, [2] * bits, keep), 1e-14), (bits, size, keep)
+                    mask = sum(1 << (bits - 1 - q) for q in keep)
+                    groups = np.unique(indices[0] & ~mask, return_counts=True)[1]
+                    most_terms = max(most_terms, int(groups.max()))
+    assert most_terms >= 3
+
+
+def test_reduce_support_sums_each_entry_in_ascending_traced_index():
+    # a Python loop in the order of the dense product M M^dagger: from 0j,
+    # one a_p conj(a_q) per traced index, ascending.  The parts of each
+    # amplitude are small integers times powers of two far apart, so every
+    # product of two parts is exact (numpy's complex product, with or without
+    # fused multiply-adds, and Python's then round alike) and only the order
+    # of the sums decides the last bits
+    rng = np.random.default_rng(47)
+    bits, keep = 6, (4, 1)
+    indices = np.array([rng.permutation(1 << bits)[:40] for _ in range(2)])
+    parts = rng.integers(-(1 << 20), 1 << 20, size=(2, *indices.shape)) * np.exp2(rng.integers(-20, 21, size=(2, *indices.shape)))
+    amps = parts[0] + 1j * parts[1]
+    got = reduce_support(indices, amps, bits, keep)
+    shifts = [bits - 1 - q for q in sorted(keep)]
+    for state, row, amp in zip(got, indices, amps):
+        want = np.zeros_like(state)
+        entries = {}
+        for index, a in zip(row.tolist(), amp.tolist()):
+            kept = sum(((index >> shift) & 1) << place for place, shift in enumerate(reversed(shifts)))
+            traced = index & ~sum(1 << shift for shift in shifts)
+            entries.setdefault(traced, []).append((kept, a))
+        for traced in sorted(entries):
+            for k1, a in entries[traced]:
+                for k2, b in entries[traced]:
+                    want[k1, k2] = complex(want[k1, k2]) + a * b.conjugate()
+        assert np.array_equal(state, want)
+        assert max(len(group) for group in entries.values()) >= 3
+
+
+def test_reduce_support_errors():
+    indices, amps = np.array([[0, 3]]), np.array([[0.6, 0.8]], dtype=complex)
+    for bad in (
+        (indices[0], amps[0], 2, [0]),  # one state, not a stack of them
+        (indices, amps[:, :1], 2, [0]),
+        (indices + 1, amps, 2, [0]),
+        (indices - 1, amps, 2, [0]),
+        (indices, amps, 2, []),
+        (indices, amps, 2, [2]),
+    ):
+        with pytest.raises(ValueError, match="bad-partition"):
+            reduce_support(*bad)
 
 
 def test_in_span_identity():

@@ -23,6 +23,7 @@ from bmvsim.ising_anyon import (
 from bmvsim.statecore import EPS, EPS_MIN, dyad, hermitian_basis, mat_close, tensor
 from bmvsim.witness import (
     LocalObservableSet,
+    _joint_products,
     purity,
     schmidt_rank,
     uncorrelated_test,
@@ -283,6 +284,18 @@ def test_batched_table_matches_per_pair_oracle(cases, args):
     else:
         # the protocol starts uncorrelated and ends entangled
         assert verdicts[:2] == [True, False]
+
+
+def test_joint_products_are_formed_once_per_set_pair():
+    # sets hash by identity, and every caller shares the cached stack, so it is read-only
+    set_a, set_b = bit_antibit.pair_observable_sets()
+    joint = _joint_products(set_a, set_b, 16)
+    assert _joint_products(set_a, set_b, 16) is joint
+    assert not joint.flags.writeable
+    assert joint.shape == (len(set_a), len(set_b), 16, 16)
+    twin = LocalObservableSet("Q1", set_a.matrices)
+    assert twin != set_a and _joint_products(twin, set_b, 16) is not joint
+    assert np.array_equal(_joint_products(twin, set_b, 16), joint)
 
 
 def test_empty_observable_set_is_uncorrelated_with_no_rows():
