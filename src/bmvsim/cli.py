@@ -56,10 +56,12 @@ class UsageError(Exception):
 # serialization helpers
 
 
-def _separators(shape: tuple[int, ...], level: int | None) -> tuple[str, list[str]]:
+@cache
+def _separators(shape: tuple[int, ...], level: int | None) -> tuple[str, tuple[str, ...]]:
     """JSON nested lists for a row-major array of ``shape``, ``level``
     containers deep (None: compact): the text before its first element and
-    the text after each element."""
+    the text after each element.  Computed once per (shape, level) and
+    shared by every caller, so the separators are a tuple."""
     rank = len(shape)
     if level is None:
         comma, pad = ", ", [""] * (rank + 1)
@@ -80,10 +82,10 @@ def _separators(shape: tuple[int, ...], level: int | None) -> tuple[str, list[st
     # seps[c] follows an element after which c axes end; only the last ends all
     seps = [closes(rank - c) + comma + pad[rank - c] + opens(rank - c) for c in range(rank)]
     seps.append(closes(0))
-    return opens(0), [seps[c] for c in closing]
+    return opens(0), tuple(seps[c] for c in closing)
 
 
-def _interleave(head: str, items: list[str], seps: list[str]) -> list[str]:
+def _interleave(head: str, items: list[str], seps: tuple[str, ...]) -> list[str]:
     parts = [head] * (2 * len(items) + 1)
     parts[1::2] = items
     parts[2::2] = seps
@@ -293,7 +295,9 @@ def _cell_parts(value) -> list[str]:
 def _csv_quote(cell: str) -> str:
     """A cell under the excel dialect's minimal quoting: one that holds a
     comma, a quote or a line break is quoted, with its quotes doubled."""
-    return '"' + cell.replace('"', '""') + '"' if any(ch in cell for ch in ',"\r\n') else cell
+    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def _csv_line(section: str, key: str, value: list[str]) -> list[str]:

@@ -169,6 +169,25 @@ def test_format_array_row_dedup(a):
     assert_matches_json(a)
 
 
+def test_separators_are_shared_and_immutable():
+    # one (head, seps) value per (shape, level) serves every caller, so no
+    # caller may change it for the next
+    head, seps = cli._separators((3, 4), 1)
+    assert cli._separators((3, 4), 1)[1] is seps
+    assert isinstance(head, str) and isinstance(seps, tuple) and len(seps) == 12
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_renders_of_one_report_are_byte_equal(fmt):
+    # a render with the separators cached writes the bytes of one without
+    trace = RUNNERS["bitantibit"](eps=EPS, mediator_bits=4)
+    report = cli.build_run_report(trace, EPS, True)
+    cli._separators.cache_clear()
+    first = "".join(cli.RENDERERS[fmt](report))
+    assert cli._separators.cache_info().currsize
+    assert "".join(cli.RENDERERS[fmt](report)) == first
+
+
 def _table(na, nb, values) -> CorrelationTable:
     """A table whose expectations are ``values`` in order, cycled as needed."""
     flat = np.resize(np.array(values, dtype=float), na + nb + na * nb)
