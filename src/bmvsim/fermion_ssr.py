@@ -19,13 +19,15 @@ Hermitian operators whose every monomial in creators/annihilators has even
 degree.  For a full k-mode register the space of such observables has real
 dimension 2^(2k-1), half of the unconstrained 2^(2k).  The observables are
 picked by exact index arithmetic, one normal-ordered word per adjoint pair
-(``_candidate_rows``): ``enumerate_physical_observables`` builds them, for the
-protocol's observable sets.  ``count_scaling_check`` counts them without
-building a matrix: the rows of one XOR offset form a square (2^k, 2^k) real
-matrix, and one stacked ``slogdet`` over the 2^(k-1) offsets, compared with
-the closed-form determinant of each class, certifies that every class is
+(``_candidate_rows``, which writes their rows grouped by XOR offset):
+``enumerate_physical_observables`` scatters them into matrices in word order,
+for the protocol's observable sets.  ``count_scaling_check`` counts them
+without building a matrix: the rows of one offset form a square (2^k, 2^k)
+real matrix, and one stacked ``slogdet`` over the 2^(k-1) offsets, compared
+with the closed-form determinant of each class, certifies that every class is
 nonsingular, so the picked words are independent and the count is 2^k per
-class.
+class.  Every smaller register's classes are sub-blocks of the largest one's
+(``_register_classes``), so one table serves the whole count.
 
 Discarding modes uses the fermionic partial trace: a dyad
 |s_1..s_n><r_1..r_n| survives the trace of mode j only when s_j == r_j, picks
@@ -60,10 +62,10 @@ _LOGDET_TOL = 1e-9
 
 # `tomography --k-max k` counts full registers of up to k modes.  Wall time
 # and peak RSS per command, json / text, fresh process, median of 5, on a
-# 2-vCPU Xeon: k = 7 0.28 / 0.31 s at 65 MiB; k = 8 0.93 / 0.93 s at 242 MiB,
-# of which the k = 8 classes are 64 MiB and their slogdet about 0.13 s.
-# The count holds the actions of 2^(2k-1) words of 2^k values each, 8x more
-# per k: k = 9 would need about 2 GiB and is rejected before it allocates.
+# 2-vCPU Xeon: k = 7 0.16 / 0.16 s at 48 MiB; k = 8 0.37 / 0.35 s at 162 MiB,
+# of which the k = 8 classes are 64 MiB.  The count holds the actions of
+# 2^(2k-1) words of 2^k values each, 8x more per k: the k = 9 classes alone
+# would be 512 MiB, so k = 9 is rejected before it allocates.
 MAX_COUNT_MODES = 8
 
 
@@ -150,28 +152,52 @@ def _adjoint_words(words: np.ndarray, k: int) -> np.ndarray:
 
 
 def _candidate_rows(n: int, modes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(offsets, rows, imaginary)``: one real row per observable on ``modes``,
-    its values on its offset, with ``imaginary`` marking the rows that stand
-    for i times themselves.
+    """``(rows, offsets, position)``: one real row per observable on ``modes``,
+    its values on its offset, grouped into offset classes, offsets ascending.
 
-    The words are the even ones whose base-4 index is at most that of their
-    adjoint (``_adjoint_words``), and only they get actions.  The rule is
-    exact: a dropped word has its adjoint's m + m^dag and the negated
-    m - m^dag, and the normal-ordered words are independent, so the kept rows
-    are too.  A kept word m gives the row (m + m^dag)/2 = m on offset 0, where
-    A = B, and the rows m + m^dag and m - m^dag on any other offset.  The
-    values are real, so m^dag maps |s ^ d> to m[s] |s>: on the offset d its
-    values are m[s ^ d].
+    For m = len(modes), ``rows`` is (2^(m-1), 2^m, 2^n), ``offsets`` holds the
+    classes' offsets and ``position`` each row's index in word order, where a
+    word's rows come after those of every smaller word.  The words are the even
+    ones whose base-4 index is at most that of their adjoint
+    (``_adjoint_words``), and only they get actions.  The rule is exact: a
+    dropped word has its adjoint's m + m^dag and the negated m - m^dag, and the
+    normal-ordered words are independent, so the kept rows are too.
+
+    A word c^dag_A c_B lies on the offset A ^ B, and an offset's words, in word
+    order, are its 2^m annihilator sets B ascending.  On offset 0, where A = B,
+    every word is kept and gives the row (m + m^dag)/2 = m: class 0 is one row
+    per word.  On any other offset d half are kept, those whose B lacks d's
+    first mode, and the class is their rows m + m^dag, then their rows
+    m - m^dag, which stand for i times themselves.  Every row is a nonzero
+    multiple of its observable, so a class's rank is the number of independent
+    observables on its offset.  The values are real, so m^dag maps |s ^ d> to
+    m[s] |s>: on the offset d its values are m[s ^ d].
     """
-    words = np.arange(1 << 2 * len(modes))
-    words = words[(_parity_signs(words) > 0) & (words <= _adjoint_words(words, len(modes)))]
-    offsets, values = _even_word_actions(n, modes, words)
-    adjoint = np.take_along_axis(values, np.arange(1 << n) ^ offsets[:, None], axis=1)
-    hermitian = offsets == 0
-    rows = np.stack((np.where(hermitian[:, None], values, values + adjoint), values - adjoint), axis=1)
-    present = np.stack((np.ones_like(hermitian), ~hermitian), axis=1).reshape(-1)
-    imaginary = np.tile([False, True], len(offsets))[present]
-    return np.repeat(offsets, 2)[present], rows.reshape(-1, 1 << n)[present], imaginary
+    m, size = len(modes), 1 << n
+    half = 1 << (m - 1)
+    words = np.arange(1 << 2 * m)
+    words = words[(_parity_signs(words) > 0) & (words <= _adjoint_words(words, m))]
+    # the bits of the digits whose creator and annihilator bits differ, one
+    # per mode of the offset in mode order, order the words as offsets do
+    spread = (words ^ words >> 1) & ((1 << 2 * m) - 1) // 3
+    slots = np.where(spread == 0, 1, 2)
+    order = np.argsort(spread, kind="stable")
+    start = (np.cumsum(slots) - slots)[order]
+    offsets, values = _even_word_actions(n, modes, words[order])
+    # class 0 holds 2^m words and every other class half as many: one offset
+    # per class (np.unique would import numpy.ma, a resident MiB)
+    offsets = offsets[half::half]
+
+    rows = np.empty((half, 1 << m, size))
+    rows[0] = values[: 1 << m]
+    values = values[1 << m :].reshape(half - 1, half, size)
+    adjoint = np.take_along_axis(values, np.arange(size) ^ offsets[1:, None, None], axis=2)
+    pairs = rows[1:].reshape(half - 1, 2, half, size)
+    np.add(values, adjoint, out=pairs[:, 0])
+    np.subtract(values, adjoint, out=pairs[:, 1])
+    first = start[1 << m :].reshape(half - 1, 1, half)
+    position = np.concatenate((start[None, : 1 << m], (first + [[0], [1]]).reshape(half - 1, 1 << m)))
+    return rows, offsets, position
 
 
 def enumerate_physical_observables(n: int, modes) -> np.ndarray:
@@ -190,36 +216,57 @@ def enumerate_physical_observables(n: int, modes) -> np.ndarray:
     if modes[0] < 1 or modes[-1] > n:
         raise ValueError(f"bad-mode: subset {modes} outside 1..{n}")
 
-    offsets, rows, imaginary = _candidate_rows(n, modes)
+    rows, offsets, position = _candidate_rows(n, modes)
+    imaginary = np.zeros(position.shape, dtype=bool)
+    imaginary[1:, 1 << (len(modes) - 1) :] = True
     idx = np.arange(1 << n)
-    matrices = np.zeros((len(rows), 1 << n, 1 << n), dtype=complex)
-    matrices[np.arange(len(rows))[:, None], idx ^ offsets[:, None], idx] = np.where(imaginary[:, None], 1j * rows, rows)
+    matrices = np.zeros((position.size, 1 << n, 1 << n), dtype=complex)
+    matrices[position[..., None], idx ^ offsets[:, None, None], idx] = np.where(imaginary[..., None], 1j * rows, rows)
     return matrices
 
 
-def _offset_classes(k: int) -> np.ndarray:
-    """The rows of ``_candidate_rows`` on a full k-mode register, grouped by
-    offset: one square (2^k, 2^k) real matrix per offset class, offsets
-    ascending.
+def _register_classes(table: np.ndarray, k: int) -> np.ndarray:
+    """The offset classes of a full k-mode register, (2^(k-1), 2^k, 2^k), taken
+    from ``table``, the rows of ``_candidate_rows`` on a full register of
+    n >= k modes.
 
-    Each of the 2^(k-1) even offsets d is the offset of the 2^k words
-    c^dag_A c_B with A ^ B = d: on d = 0 all are kept and give one row each,
-    on any other d half are kept and give two.  A row m - m^dag is -i times
-    its observable, which leaves the rank unchanged, so the rank of a class
-    is the number of independent observables on its offset.
+    Register k is the rows whose words have zero digits on modes k+1..n, at
+    the columns whose kets leave those modes empty (every 2^(n-k)-th).  Shift
+    every mode mask by n - k bits: word w' on k modes becomes w' followed by
+    n - k zero digits, ket s' becomes s' << (n-k), and with them the creator
+    and annihilator masks, the offset d and B.  The sign masks X(M) of
+    ``_even_word_actions`` hold only modes before one of M, so for M within
+    modes 1..k they shift too: a shifted word has the k-mode values at the
+    shifted kets, and so does its adjoint, since s ^ d = (s' ^ d') << (n-k).
+    The adjoint rule and the word order compare the same digits, so register
+    k's rows are the k-mode rows, value for value.
+
+    Where they sit.  The even offsets ascending are indexed by all their bits
+    but the last, so d' << (n-k) is class (d' << (n-k)) >> 1.  Split a class's
+    rows into two halves of 2^(n-1): class 0 holds word B at row B, and any
+    other class holds its kept words, those whose B lacks d's first mode, at B
+    with that bit taken out, once per half.  That bit lies at or above bit
+    n - k, so either way the shifted B' lie at every 2^(n-k)-th row of a half,
+    ascending.
     """
-    offsets, rows, _ = _candidate_rows(k, tuple(range(1, k + 1)))
-    return rows[np.argsort(offsets, kind="stable")].reshape(1 << (k - 1), 1 << k, 1 << k)
+    n = len(table).bit_length()
+    if k == n:
+        return table
+    step = 1 << (n - k)
+    even = np.flatnonzero(_parity_signs(np.arange(1 << k)) > 0)
+    halves = table.reshape(len(table), 2, -1, 1 << n)
+    return halves[(even << (n - k)) >> 1, :, ::step, ::step].reshape(-1, 1 << k, 1 << k)
 
 
 def count_scaling_check(k_max: int) -> list[tuple[int, int, int, bool]]:
     """Rows (k, observable count, 2^(2k-1), match) for full registers k=1..k_max.
 
-    A register's count is 2^k per offset class whose log2|det|, from one
-    stacked ``slogdet`` call, is its closed form within ``_LOGDET_TOL``: 0 on
-    offset 0 and 2^(k-1) on every other offset.  A class that misses counts
-    nothing, so a singular class and a wrong closed form alike break the
-    match.  No observable matrix is built.
+    The classes of every register come from one table, that of k_max modes
+    (``_register_classes``).  A register's count is 2^k per offset class whose
+    log2|det|, from one stacked ``slogdet`` call, is its closed form within
+    ``_LOGDET_TOL``: 0 on offset 0 and 2^(k-1) on every other offset.  A class
+    that misses counts nothing, so a singular class and a wrong closed form
+    alike break the match.  No observable matrix is built.
 
     The closed form.  The words on offset d are c^dag_A c_B with A = C + A'
     and B = C + B' (+ a disjoint union), C outside d and d = A' + B': 2^k of
@@ -234,11 +281,12 @@ def count_scaling_check(k_max: int) -> list[tuple[int, int, int, bool]]:
     offset, and the class takes each pair to m + m^dag and m - m^dag: up to
     row order, 2^(k-1) blocks [[1, 1], [1, -1]] of |det| 2 times W_d.
     """
-    if k_max > MAX_COUNT_MODES:
-        raise ValueError(f"bad-mode: k_max above {MAX_COUNT_MODES} is out of scope")
+    if not 1 <= k_max <= MAX_COUNT_MODES:
+        raise ValueError(f"bad-mode: k_max {k_max} outside 1..{MAX_COUNT_MODES}")
+    table, _, _ = _candidate_rows(k_max, tuple(range(1, k_max + 1)))
     rows = []
     for k in range(1, k_max + 1):
-        classes = _offset_classes(k)
+        classes = _register_classes(table, k)
         closed_form = np.full(len(classes), float(1 << (k - 1)))
         closed_form[0] = 0.0
         _, logdet = np.linalg.slogdet(classes)

@@ -266,20 +266,32 @@ def test_full_stdout_exits_3_without_a_traceback():
     assert "Traceback" not in done.stderr and "cannot write report" in done.stderr
 
 
-def test_no_command_imports_numpy_random(tmp_path):
-    # importing numpy.random costs a process about 5 MiB resident; a fresh
-    # interpreter shows whether any command pulls it in
+@pytest.fixture(scope="module")
+def modules_after_every_command(tmp_path_factory):
+    """The modules a fresh interpreter holds after one command of each kind."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    out = str(tmp_path / "report")
+    out = str(tmp_path_factory.mktemp("modules") / "report")
     script = (
         "import sys\n"
         "from bmvsim import cli\n"
         "for argv in (['run', 'bitantibit'], ['tomography'], ['verify-all']):\n"
         f"    assert cli.main([*argv, '--format', 'json', '--out', {out!r}]) == 0, argv\n"
-        "assert 'numpy.random' not in sys.modules\n"
+        "print(*sys.modules)\n"
     )
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def test_no_command_imports_numpy_random(modules_after_every_command):
+    # importing numpy.random costs a process about 5 MiB resident
+    assert "numpy" in modules_after_every_command
+    assert "numpy.random" not in modules_after_every_command
+
+
+def test_no_command_imports_numpy_ma(modules_after_every_command):
+    # importing numpy.ma, which np.unique does, costs a process about 0.9 MiB resident
+    assert "numpy.ma" not in modules_after_every_command
 
 
 def test_crash_raises_and_is_not_a_mismatch(capsys, monkeypatch):

@@ -14,9 +14,10 @@ from bmvsim.fermion_ssr import (
     MAX_COUNT_MODES,
     _LOGDET_TOL,
     _adjoint_words,
+    _candidate_rows,
     _even_word_actions,
-    _offset_classes,
     _parity_signs,
+    _register_classes,
     _trace_signs,
     annihilator_matrix,
     count_scaling_check,
@@ -408,6 +409,11 @@ def test_dropped_words_repeat_their_adjoints_observables(n, modes):
     assert np.array_equal(minus[dropped], -minus[partner[dropped]])
 
 
+def register_table(k):
+    """The offset classes of a full k-mode register, built on k modes alone."""
+    return _candidate_rows(k, tuple(range(1, k + 1)))[0]
+
+
 def test_counts_match_the_enumeration():
     # each offset class's rank is the number of enumerated observables on that
     # offset, and the classes are in ascending offset order
@@ -417,7 +423,7 @@ def test_counts_match_the_enumeration():
         if k <= 5:
             row, column = np.divmod(np.argmax(observables.reshape(count, -1) != 0, axis=1), 1 << k)
             _, per_offset = np.unique(row ^ column, return_counts=True)
-            ranks = np.linalg.matrix_rank(_offset_classes(k), tol=RANK_TOL)
+            ranks = np.linalg.matrix_rank(register_table(k), tol=RANK_TOL)
             assert ranks.tolist() == per_offset.tolist()
 
 
@@ -425,7 +431,7 @@ def test_counts_match_the_enumeration():
 def test_count_rank_tolerance_sits_in_a_wide_gap(k):
     # every singular value is a rounding-size zero or far above RANK_TOL, so
     # the oracles' ranks do not hang on the tolerance's exact value
-    values = np.linalg.svd(_offset_classes(k), compute_uv=False)
+    values = np.linalg.svd(register_table(k), compute_uv=False)
     nonzero = values[values > RANK_TOL]
     assert not (values[values <= RANK_TOL] > 1e-12).any(), f"k = {k}: a dropped singular value is not a rounding-size zero"
     assert nonzero.min() > 1e6 * RANK_TOL, (
@@ -481,7 +487,7 @@ def test_every_class_has_full_rank_mod_a_prime(k):
     # exact arithmetic: the entries are integers in {-1, 0, 1}, and a class of
     # full rank modulo a prime has a nonzero integer determinant; the
     # determinant is also the closed form's +-2^(2^(k-1)) modulo the prime
-    classes = _offset_classes(k)
+    classes = register_table(k)
     assert np.isin(classes, (-1.0, 0.0, 1.0)).all()
     for offset, (cls, log2_det) in enumerate(zip(classes.astype(np.int64), closed_form_log2_det(k))):
         rank, det = rank_and_det_mod_prime(cls)
@@ -491,16 +497,16 @@ def test_every_class_has_full_rank_mod_a_prime(k):
 
 
 def _planted(k_planted, plant):
-    """``_offset_classes`` with ``plant`` applied to the classes of k_planted modes."""
-    classes = fermion_ssr._offset_classes
+    """``_register_classes`` with ``plant`` applied to the classes of k_planted modes."""
+    classes = fermion_ssr._register_classes
 
-    def offset_classes(k):
-        out = classes(k)
+    def register_classes(table, k):
+        out = classes(table, k)
         if k == k_planted:
             plant(out)
         return out
 
-    return offset_classes
+    return register_classes
 
 
 def _duplicate_a_row(classes):
@@ -515,14 +521,29 @@ def _double_a_row(classes):
 def test_a_class_missing_its_closed_form_counts_nothing(monkeypatch, plant):
     # a singular class and a full-rank class of another determinant alike
     # miss the certificate: the register loses that class's 2^k and its match
-    monkeypatch.setattr(fermion_ssr, "_offset_classes", _planted(3, plant))
+    monkeypatch.setattr(fermion_ssr, "_register_classes", _planted(3, plant))
     rows = count_scaling_check(4)
     assert rows[2] == (3, 32 - 8, 32, False)
     assert [row[3] for row in rows] == [True, True, False, True]
 
 
+@pytest.mark.parametrize("k_max", range(1, 8))
+def test_smaller_registers_are_sub_blocks_of_one_table(k_max):
+    table = register_table(k_max)
+    for k in range(1, k_max + 1):
+        got, want = _register_classes(table, k), register_table(k)
+        assert got.shape == want.shape == (1 << (k - 1), 1 << k, 1 << k)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), (k_max, k)
+
+
+def test_counts_from_one_table_match_each_register_alone():
+    rows = count_scaling_check(MAX_COUNT_MODES)
+    for k in range(1, MAX_COUNT_MODES + 1):
+        assert rows[:k] == count_scaling_check(k)
+
+
 def _worst_log2_det_deviation(k):
-    _, logdet = np.linalg.slogdet(_offset_classes(k))
+    _, logdet = np.linalg.slogdet(register_table(k))
     return np.abs(logdet / np.log(2) - closed_form_log2_det(k)).max()
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations, permutations
 
 import numpy as np
@@ -143,6 +144,26 @@ def test_count_scaling_table():
     ]
     with pytest.raises(ValueError, match="bad-mode"):
         count_scaling_check(MAX_COUNT_MODES + 1)
+
+
+@pytest.mark.parametrize("k_max", [-1, 0, MAX_COUNT_MODES + 1])
+def test_count_rejects_register_sizes_out_of_range(k_max):
+    with pytest.raises(ValueError, match=f"^bad-mode: k_max {k_max} outside 1..{MAX_COUNT_MODES}$"):
+        count_scaling_check(k_max)
+
+
+def test_count_peak_memory_stays_below_three_times_its_classes():
+    # every register's classes are taken from the one table of k_max modes:
+    # at k_max = 7 that is 2^6 classes of 2^7 x 2^7 float64, 8 MiB
+    classes_bytes = (1 << 6) * (1 << 7) * (1 << 7) * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        count_scaling_check(7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * classes_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_microcausality():
