@@ -70,42 +70,45 @@ class PairingCertificate:
     tail: tuple[tuple[str, int], ...]
 
 
-def validate_state(sig: SystemSignature, vec: np.ndarray, eps: float = EPS) -> tuple[bool, PairingCertificate | None]:
-    """Search for a pairing certificate whose pattern contains the support.
+def validate_state(sig: SystemSignature, states, eps: float = EPS):
+    """Search for a pairing certificate whose pattern contains a state's support.
 
-    Support containment (not equality) defines validity, so sub-normalized
-    basis states validate.  A certificate holds exactly when each matched
-    anti-bit xor its bit, and each unmatched bit, is constant over the
-    support; the offsets and the tail are then the values at the first
-    support index.  The search is deterministic: the first certificate in
-    lexicographic matching order wins.
-    """
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
-    if vec.shape != (sig.dim,):
+    ``states`` is one vector, giving one (flag, certificate) pair, or a
+    (states, 2^slots) stack, giving a list of them, one per row.  Support
+    containment (not equality) defines validity, so sub-normalized basis
+    states validate.  A certificate holds exactly when each matched anti-bit
+    xor its bit, and each unmatched bit, is constant over the support; the
+    offsets and the tail are then the values at the first support index.
+    The search is deterministic: the first certificate in lexicographic
+    matching order wins.  It alone runs row by row."""
+    states = np.asarray(states, dtype=complex)
+    if states.ndim not in (1, 2) or states.shape[-1] != sig.dim:
         raise ValueError("bad-partition: vector length does not match the signature")
-    support = np.flatnonzero(np.abs(vec) > eps)
-    if support.size == 0:
-        return False, None
+    row, support = np.nonzero(np.abs(states.reshape(-1, sig.dim)) > eps)
     anti_labels = [f"A{i}" for i in range(1, sig.m + 1)]
     bit_labels = [f"B{i}" for i in range(1, sig.n + 1)]
     shifts = np.array([sig.slots - 1 - sig.slot_of(label) for label in anti_labels + bit_labels], dtype=np.int64)
     columns = (support[:, None] >> shifts) & 1
-    first = columns[0].tolist()
-    varies = columns != columns[0]  # where each slot differs from the first support index
+    starts = np.flatnonzero(np.diff(row, prepend=-1))  # where each row with a support begins
+    varies = columns != np.repeat(columns[starts], np.diff(starts, append=len(row)), axis=0)
     anti_varies, bit_varies = varies[:, : sig.m], varies[:, sig.m :]
-    # anti-bit a may pair with bit b when a xor b is constant over the support
-    pairable = ~(anti_varies[:, :, None] ^ bit_varies[:, None, :]).any(axis=0)
-    constant = (~bit_varies.any(axis=0)).tolist()
-    # ascending candidate lists: product walks the matchings in lexicographic order
-    for matched in product(*(np.flatnonzero(row).tolist() for row in pairable)):
-        if len(set(matched)) == sig.m and all(constant[b] for b in range(sig.n) if b not in matched):
-            break
-    else:
-        return False, None
-    offsets = tuple(first[a] ^ first[sig.m + b] for a, b in enumerate(matched))
-    tail = tuple((bit_labels[b], first[sig.m + b]) for b in range(sig.n) if b not in matched)
-    pairing = tuple((anti_labels[a], bit_labels[b]) for a, b in enumerate(matched))
-    return True, PairingCertificate(pairing, offsets, tail)
+    # anti-bit a may pair with bit b when a xor b is constant over the row's support
+    clash = np.logical_or.reduceat(anti_varies[:, :, None] ^ bit_varies[:, None, :], starts, axis=0)
+    moves = np.logical_or.reduceat(bit_varies, starts, axis=0)
+    results = [(False, None)] * (len(states) if states.ndim == 2 else 1)
+    per_row = zip(row[starts].tolist(), columns[starts].tolist(), clash.tolist(), moves.tolist())
+    for r, first, clashes, moving in per_row:
+        # ascending candidate lists: product walks the matchings in lexicographic order
+        for matched in product(*([b for b, c in enumerate(anti) if not c] for anti in clashes)):
+            if len(set(matched)) == sig.m and not any(moving[b] for b in range(sig.n) if b not in matched):
+                break
+        else:
+            continue
+        offsets = tuple(first[a] ^ first[sig.m + b] for a, b in enumerate(matched))
+        tail = tuple((bit_labels[b], first[sig.m + b]) for b in range(sig.n) if b not in matched)
+        pairing = tuple((anti_labels[a], bit_labels[b]) for a, b in enumerate(matched))
+        results[r] = (True, PairingCertificate(pairing, offsets, tail))
+    return results if states.ndim == 2 else results[0]
 
 
 def swap_bits(sig: SystemSignature, b1: str, b2: str, indices: np.ndarray) -> np.ndarray:
@@ -180,8 +183,8 @@ def run_bit_antibit_protocol(mediator_bits: int = 2, eps: float = EPS) -> Protoc
     and the mediator bits in the all-zero state.  The palindromic swap chain
     ferries the matter bits through the mediator, and the mediator bits
     return to zero.  The final matter state is recorded on the slots
-    (A1, B1, B_{k+2}, A2).  That every checkpoint stays inside the allowed
-    state set is checked by ``acceptance``, with ``validate_state``.
+    (A1, B1, B_{k+2}, A2).  ``acceptance`` checks that every checkpoint stays
+    inside the allowed state set, in one ``validate_state`` call on their stack.
     """
     sig = protocol_signature(mediator_bits)
     k = mediator_bits

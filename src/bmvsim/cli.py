@@ -17,8 +17,10 @@ import argparse
 import json
 import os
 import sys
+from bisect import bisect_left
 from collections.abc import Iterator
 from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -103,35 +105,42 @@ def _array_parts(a, level: int | None, texts: dict) -> list[str]:
     With ``level`` None the joined pieces are the bytes of compact
     ``json.dumps``; with an int they are those of ``json.dumps(..., indent=2)``
     for an array that sits ``level`` containers deep.  The leaf is one row of
-    the last axis, read as its interleaved re, im floats from a float64 view of
-    the array: each distinct row, keyed by its float64 bit patterns (so -0.0 and
+    the last axis, read as the bits of its interleaved re, im floats from a
+    uint64 view of the array: each distinct row, keyed by those bits (so -0.0 and
     0.0, and NaN payloads, stay apart), is formatted once, its floats written by
     json itself, and the rows are joined with the separators of the outer axes.
-    Protocol matrices are sparse with exact rational or 1/sqrt(2) entries, so
-    most rows repeat, also from one checkpoint's matrix to the next: a caller
-    passes one ``texts`` dict to the calls for all arrays of a report, and a
-    row is formatted once for all of them.
+    Protocol matrices are sparse with exact rational or 1/sqrt(2) entries: most
+    rows are all +0.0, found by one test of their bits, and share one text, and
+    the others repeat, also across matrices, as a caller passes one ``texts``
+    dict to the calls for all arrays of a report.
     """
     if isinstance(a, CorrelationTable):
         return _table_parts(a, level)
     a = np.ascontiguousarray(a, dtype=complex)
     rank = a.ndim - 1  # axes outside a row
-    rows = a.view(np.float64).reshape(-1, 2 * a.shape[-1])
+    rows = a.view(np.uint64).reshape(-1, 2 * a.shape[-1])  # each row's re, im float64 bits
     row_level = None if level is None else level + rank
     row_head, row_seps = _separators((a.shape[-1], 2), row_level)
     # a row's text depends only on its level and its bytes, whose count fixes its length
     known = texts.setdefault(row_level, {})
-    leaves = []
-    for row in rows:
-        key = row.tobytes()
-        text = known.get(key)
-        if text is None:
-            # json writes no ", " inside a float
-            floats = json.dumps(row.tolist())[1:-1].split(", ")
-            text = known[key] = "".join(_interleave(row_head, floats, row_seps))
-        leaves.append(text)
+    # the rows with no bit set, all +0.0, share one text; only the others are keyed
+    picks = rows.any(axis=1).nonzero()[0].tolist()
+    zero = np.zeros(rows.shape[1], np.uint64)
+    leaves = [_row_text(zero, known, row_head, row_seps) if len(picks) < len(rows) else ""] * len(rows)
+    for i in picks:
+        leaves[i] = known.get(rows[i].tobytes()) or _row_text(rows[i], known, row_head, row_seps)
     head, seps = _separators(a.shape[:rank], level)
     return _interleave(head, leaves, seps)
+
+
+def _row_text(row: np.ndarray, known: dict, head: str, seps: tuple[str, ...]) -> str:
+    """The JSON text of one row of float64 bits, formatted once per pattern."""
+    key = row.tobytes()
+    if key not in known:
+        # json writes no ", " inside a float
+        floats = json.dumps(row.view(np.float64).tolist())[1:-1].split(", ")
+        known[key] = "".join(_interleave(head, floats, seps))
+    return known[key]
 
 
 def _table_parts(table: CorrelationTable, level: int | None) -> list[str]:
@@ -236,15 +245,14 @@ def _json_parts(value, level: int | None, texts: dict, out: list[str]) -> None:
     ``json.dumps(value, indent=2)`` for a value ``level`` containers deep, or
     with ``level`` None those of compact ``json.dumps``.  Arrays and
     correlation tables are written by ``_array_parts``, which shares ``texts``
-    among them; tuples are written as lists, a key that is not a string is
-    refused, and any other value is written by json itself.  It recurses as a
-    module function: a nested function that calls itself is a reference cycle."""
+    among them; tuples are written as lists, ``_plain`` refuses a key that is
+    not a string, and json writes any other value, such as a container that
+    holds no array, in one call.  It recurses as a module function: a nested
+    function that calls itself is a reference cycle."""
     if isinstance(value, _ARRAYS):
         out += _array_parts(value, level, texts)
-    elif isinstance(value, (dict, list, tuple)) and value:
+    elif isinstance(value, (dict, list, tuple)) and value and not _plain(value):
         is_dict = isinstance(value, dict)
-        if is_dict and not all(isinstance(key, str) for key in value):
-            raise TypeError(f"report keys must be str: {list(value)!r}")
         inner = None if level is None else level + 1
         pad = "" if level is None else "\n" + "  " * inner
         lead = ("{" if is_dict else "[") + pad
@@ -253,8 +261,19 @@ def _json_parts(value, level: int | None, texts: dict, out: list[str]) -> None:
             _json_parts(item, inner, texts, out)
             lead = ", " if level is None else "," + pad
         out.append(("" if level is None else "\n" + "  " * level) + ("}" if is_dict else "]"))
-    else:
+    elif level is None or not isinstance(value, (dict, list, tuple)):
         out.append(json.dumps(value))
+    else:
+        out.append(json.dumps(value, indent=2).replace("\n", "\n" + "  " * level))
+
+
+def _plain(value) -> bool:
+    """Whether a dict or list holds no array or table; a non-str key is refused."""
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError(f"report keys must be str: {list(value)!r}")
+        value = value.values()
+    return all(_plain(v) if isinstance(v, (dict, list, tuple)) else not isinstance(v, _ARRAYS) for v in value)
 
 
 def render_json(report: dict) -> list[str]:
@@ -355,27 +374,24 @@ RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}
 # the renderer's pieces: the text layer encodes what it is given in one piece,
 # so neither the report text nor an encoded copy of it is ever held whole.
 # Writing the k = 6 json report (2.9 MB, render included, median of 60 on a
-# 2-vCPU Xeon) took 9.8 / 7.8 / 6.2 / 5.7 / 8.8 ms in chunks of 4 KiB / 16 KiB /
-# 64 KiB / 256 KiB / 1 MiB; 64 KiB is as fast as 256 KiB within their spread.
-# A chunk holds fewer than 64 Ki characters plus the longest piece (a 25.6 K
+# 2-vCPU Xeon) took 6.1 / 5.1 / 4.2 / 3.7 / 5.9 ms in chunks of 4 KiB / 16 KiB /
+# 64 KiB / 256 KiB / 1 MiB.  256 KiB saves about 0.5 ms there, but a chunk
+# of 64 KiB holds fewer than 64 Ki characters plus the longest piece (a 25.6 K
 # row at k = 9 json): below malloc's 128 KiB threshold for a fresh mapping.
 _WRITE_SLICE = 1 << 16
 
 
 def _chunks(pieces: list[str], size: int) -> Iterator[str]:
-    """The joined text of ``pieces`` in chunks: the pieces gathered so far are
-    joined once they hold ``size`` characters, and the rest at the end.  No
-    chunk is empty, and each but the last holds at least ``size`` characters
-    and fewer than ``size`` plus the longest piece."""
-    gathered, length = [], 0
-    for piece in pieces:
-        gathered.append(piece)
-        length += len(piece)
-        if length >= size:
-            yield "".join(gathered)
-            gathered, length = [], 0
-    if length:
-        yield "".join(gathered)
+    """The joined text of ``pieces`` in chunks, each ending with the first piece
+    that brings it to ``size`` characters (a bisection on the running lengths),
+    and the rest last.  No chunk is empty, and each but the last holds at least
+    ``size`` characters and fewer than ``size`` plus the longest piece."""
+    ends = [0, *accumulate(map(len, pieces))]  # ends[i]: the length of pieces[:i]
+    start = 0
+    while ends[start] < ends[-1]:
+        stop = min(bisect_left(ends, ends[start] + size, start + 1), len(pieces))
+        yield "".join(pieces[start:stop])
+        start = stop
 
 
 def _emit(report: dict, fmt: str, out: str | None) -> int:

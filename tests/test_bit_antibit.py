@@ -165,13 +165,16 @@ def test_certificate_admits():
     assert not admits(cert, {"A1": 0, "B1": 0, "B2": 0})
 
 
-@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("k", range(2, 10))
 def test_validate_matches_oracle_at_every_checkpoint(k):
+    # each checkpoint alone, and all of a run's checkpoints in one stacked call
     sig = protocol_signature(k)
     trace = run_bit_antibit_protocol(k)
-    for step in trace.steps:
+    stacked = validate_state(sig, [step.state for step in trace.steps])
+    assert len(stacked) == len(trace.steps) == 2 * k + 2
+    for step, row in zip(trace.steps, stacked):
         flag, cert = validate_state(sig, step.state)
-        assert (flag, cert) == reference_validate(sig, step.state), step.label
+        assert row == (flag, cert) == reference_validate(sig, step.state), step.label
         assert flag and cert is not None
 
 
@@ -215,6 +218,51 @@ def test_validate_matches_oracle_on_random_signatures():
             outcomes.add((sig.m, flag))
     # every anti-bit count produced both verdicts
     assert outcomes == {(m, flag) for m in range(4) for flag in (False, True)}
+
+
+def _boundary_rows(sig: SystemSignature, rng):
+    """A valid state with -0.0 parts, and one whose other entries sit one
+    float step below or above eps (the ones above join the support)."""
+    valid = _random_valid_state(sig, rng)
+    signed = valid.copy()
+    signed[signed == 0.0] = complex(-0.0, -0.0)
+    signed[rng.integers(sig.dim)] = complex(-0.0, 0.0)
+    yield signed
+    edge = valid.copy()
+    empty = edge == 0.0
+    edge[empty] = rng.choice([np.nextafter(EPS, 0.0), np.nextafter(EPS, 1.0)], size=int(empty.sum()))
+    edge[empty & (rng.random(sig.dim) < 0.5)] *= 1j
+    yield edge
+
+
+def test_stacked_validation_matches_oracle_row_by_row():
+    # ragged supports: empty, single-index, valid, stray, noisy and faint rows,
+    # -0.0 entries and amplitudes one step either side of eps, in random order
+    rng = np.random.default_rng(909)
+    outcomes = set()
+    for trial in range(200):
+        sig = _random_signature(rng)
+        rows = [*_random_supports(sig, rng), *_boundary_rows(sig, rng), np.zeros(sig.dim, dtype=complex)]
+        single = np.zeros(sig.dim, dtype=complex)
+        single[rng.integers(sig.dim)] = 1.0
+        rows.append(single)
+        stack = np.array([rows[i] for i in rng.permutation(len(rows))[: rng.integers(1, len(rows) + 1)]])
+        results = validate_state(sig, stack)
+        assert isinstance(results, list) and len(results) == len(stack)
+        for row, (flag, cert) in zip(stack, results):
+            assert (flag, cert) == reference_validate(sig, row), (trial, sig, np.flatnonzero(np.abs(row) > EPS))
+            outcomes.add((sig.m, flag))
+    assert outcomes == {(m, flag) for m in range(4) for flag in (False, True)}
+
+
+def test_stacked_validation_of_empty_rows_and_stacks():
+    sig = protocol_signature(2)
+    assert validate_state(sig, np.zeros((0, sig.dim))) == []
+    assert validate_state(sig, np.zeros((3, sig.dim))) == [(False, None)] * 3
+    assert validate_state(sig, np.full((2, sig.dim), -0.0)) == [(False, None)] * 2
+    for shape in [(sig.dim + 1,), (2, sig.dim // 2), (1, 1, sig.dim), ()]:
+        with pytest.raises(ValueError, match="bad-partition"):
+            validate_state(sig, np.zeros(shape))
 
 
 def test_swap_is_permutation_and_involution():

@@ -439,11 +439,38 @@ def test_report_written_in_slices_is_the_rendered_text(capsys, monkeypatch, tmp_
         assert_greedy_chunks(chunks, pieces, 7)
 
 
+def greedy_chunks(pieces, size):
+    """The piece-by-piece loop that ``cli._chunks`` replaced: join the pieces
+    gathered so far once they hold ``size`` characters, and the rest at the end."""
+    gathered, length = [], 0
+    for piece in pieces:
+        gathered.append(piece)
+        length += len(piece)
+        if length >= size:
+            yield "".join(gathered)
+            gathered, length = [], 0
+    if length:
+        yield "".join(gathered)
+
+
 @pytest.mark.parametrize("size", [1, 2, 3, 5, 64])
 def test_chunks_cut_the_joined_pieces(size):
     pieces = ["", "a", "bcdefgh", "", "ij", "klmnopqrstuvwxyz" * 3, "0", ""]
+    assert list(cli._chunks(pieces, size)) == list(greedy_chunks(pieces, size))
     assert_greedy_chunks(list(cli._chunks(pieces, size)), pieces, size)
     assert list(cli._chunks([], size)) == list(cli._chunks(["", ""], size)) == []
+
+
+def test_chunks_match_the_greedy_loop_on_random_pieces():
+    # empty pieces, runs of them, pieces longer than the chunk size, and size 1
+    rng = np.random.default_rng(365)
+    for trial in range(300):
+        size = int(rng.choice([1, 2, 3, 7, 16, 64]))
+        lengths = rng.choice([0, 0, 1, 2, size - 1, size, size + 1, 3 * size], size=rng.integers(0, 40))
+        pieces = ["".join(rng.choice(list("ab,"), size=n)) for n in lengths]
+        chunks = list(cli._chunks(pieces, size))
+        assert chunks == list(greedy_chunks(pieces, size)), (trial, size, pieces)
+        assert_greedy_chunks(chunks, pieces, size)
 
 
 UNRENDERABLE = [
@@ -488,21 +515,19 @@ def test_report_copies_stay_out_of_the_peak(tmp_path):
         assert extra < size / 2, (fmt, extra, size)
 
 
-@pytest.mark.parametrize(
-    "argv, mediator_bits",
-    [(["run", "bitantibit"], [2] * 6), (["verify-all"], [2] * 6 + [3] * 8 + [4] * 10)],
-)
+@pytest.mark.parametrize("argv, mediator_bits", [(["run", "bitantibit"], [2]), (["verify-all"], [2, 3, 4])])
 def test_each_checkpoint_is_validated_once(monkeypatch, capsys, argv, mediator_bits):
-    # one validate_state call per checkpoint of each bit/anti-bit run:
-    # 2k + 2 checkpoints at k mediator bits
+    # one validate_state call per bit/anti-bit run, on the stack of its
+    # 2k + 2 checkpoints at k mediator bits, each checkpoint one row
     calls = []
     real = bit_antibit.validate_state
 
-    def counted(sig, vec, eps=EPS):
-        calls.append(sig.n - 2)
-        return real(sig, vec, eps)
+    def counted(sig, states, eps=EPS):
+        states = np.asarray(states)
+        calls.append((sig.n - 2, states.shape))
+        return real(sig, states, eps)
 
     monkeypatch.setattr(bit_antibit, "validate_state", counted)
     code, _, _ = run_cli(capsys, argv)
     assert code == EXIT_OK
-    assert sorted(calls) == mediator_bits
+    assert sorted(calls) == [(k, (2 * k + 2, 1 << (k + 4))) for k in mediator_bits]

@@ -160,6 +160,14 @@ ROW_CASES = {
     "length-1 last axis, 3-d": np.array([[[0.5], [0.5]], [[-0.0], [0.5]], [[0.5], [0.5]]], dtype=complex),
     "vector": np.array([0.5, 0.0, -0.0, 0.5, NAN, INF, 0.0], dtype=complex),
     "length-1 vector": np.array([complex(-0.0, 0.0)]),
+    # rows of +0.0 only are found by their bits and share one text
+    "all +0.0 rows": np.zeros((4, 3), dtype=complex),
+    "all +0.0 rows, 3-d": np.zeros((2, 3, 2), dtype=complex),
+    "+0.0 vector": np.zeros(3, dtype=complex),
+    "+0.0 rows among -0.0 rows": _rows([0.0, 0.0], [-0.0, 0.0], [0.0, 0.0], [complex(0.0, -0.0), 0.0], [0.0, 0.0]),
+    "sparse diagonal": np.diag([0.5, 0.0, -0.0, 0.5]).astype(complex),
+    "sparse stack, 3-d": np.stack([np.diag([1.0, 0.0, 0.0]), np.zeros((3, 3)), np.diag([0.0, 0.0, -0.0])]).astype(complex),
+    "no zero entry": np.full((3, 2), complex(0.25, -1.5)),
 }
 
 
@@ -167,6 +175,18 @@ ROW_CASES = {
 def test_format_array_row_dedup(a):
     # rows equal under == but not bit for bit (-0.0 and 0.0) must stay apart
     assert_matches_json(a)
+
+
+def test_arrays_sharing_row_texts_match_json():
+    # one texts dict for every array of a report, as render_json passes it:
+    # the +0.0 row text of one level must not serve another, nor a -0.0 row
+    cases = [*ROW_CASES.values(), np.zeros((2, 4), dtype=complex), np.full((2, 4), complex(-0.0, 0.0))]
+    texts: dict = {}
+    for level in (None, 0, 1, 3, None, 2):
+        for a in cases:
+            indented = json.dumps(pairs(a), indent=None if level is None else 2)
+            expected = indented if level is None else indented.replace("\n", "\n" + "  " * level)
+            assert "".join(cli._array_parts(a, level, texts)) == expected
 
 
 def test_separators_are_shared_and_immutable():
@@ -266,6 +286,9 @@ def _planted_report() -> dict:
             [],
         ],
         "last": TABLE_CASES["planted"],
+        # subtrees with no array, written by json in one call at each depth
+        "plain": {"list": [1, -0.0, {"deep": ["x\ny", None, True, 1e16]}], "empty": [{}, []], "tuple": (2.5, "z")},
+        "plain at depth": [{"rows": [[0.5, NAN], {"k": "v"}], "matrix": np.eye(2)}, [{"a": [1, [2, [3]]]}]],
         # strings a renderer that wrote a placeholder for each array would mistake for one
         "slot": SLOTS[0],
         "slots": [*SLOTS, np.eye(2)],
@@ -288,8 +311,11 @@ def test_render_json_tuples_are_lists_and_keys_are_strings():
     as_lists = {"pair": [0, 1], "arrays": [np.eye(2), [TABLE_CASES["one row"], []]], "lists": [[], [1.5]]}
     assert "".join(cli.render_json(report)) == oracle_json(as_lists)
     for key in (1, 1.5, True, None, (1, 2)):
-        with pytest.raises(TypeError, match="keys must be str"):
-            cli.render_json({"ok": {key: 1}})
+        for report in ({"ok": {key: 1}}, {"ok": [np.eye(2), [{"a": {key: 1}}]]}, {"plain": [{"a": [{key: 1}]}]}):
+            with pytest.raises(TypeError, match="keys must be str"):
+                cli.render_json(report)
+            with pytest.raises(TypeError, match="keys must be str"):
+                cli._json_parts(report, None, {}, [])
 
 
 def test_render_json_refuses_other_objects():
