@@ -179,7 +179,7 @@ def _bab_rows(trace: ProtocolTrace, eps: float) -> Iterator[Row]:
     yield Row("final_matter", trace.steps[-1].matter, dyad(bab_expected_matter_state()))
     yield Row("mediator_start", start, _projector(len(start), 0))
     yield Row("mediator_end", end, _projector(len(end), 0))
-    checks = bab.validate_state(sig, [step.state for step in trace.steps], eps)
+    checks = bab.validate_state(sig, trace.states, eps)
     yield Row("all_steps_valid", all(flag for flag, _ in checks), True)
     yield Row("rho_q1", trace.marginals[0], marginal)
     yield Row("rho_q2", trace.marginals[1], marginal)

@@ -125,22 +125,22 @@ def _array_parts(a, level: int | None, texts: dict) -> list[str]:
     known = texts.setdefault(row_level, {})
     # the rows with no bit set, all +0.0, share one text; only the others are keyed
     picks = rows.any(axis=1).nonzero()[0].tolist()
-    zero = np.zeros(rows.shape[1], np.uint64)
-    leaves = [_row_text(zero, known, row_head, row_seps) if len(picks) < len(rows) else ""] * len(rows)
+    zero = _row_text(bytes(8 * rows.shape[1]), known, row_head, row_seps) if len(picks) < len(rows) else ""
+    leaves = [zero] * len(rows)
     for i in picks:
-        leaves[i] = known.get(rows[i].tobytes()) or _row_text(rows[i], known, row_head, row_seps)
+        leaves[i] = _row_text(rows[i].tobytes(), known, row_head, row_seps)
     head, seps = _separators(a.shape[:rank], level)
     return _interleave(head, leaves, seps)
 
 
-def _row_text(row: np.ndarray, known: dict, head: str, seps: tuple[str, ...]) -> str:
-    """The JSON text of one row of float64 bits, formatted once per pattern."""
-    key = row.tobytes()
-    if key not in known:
+def _row_text(key: bytes, known: dict, head: str, seps: tuple[str, ...]) -> str:
+    """The JSON text of the row whose float64 bytes are ``key``, formatted once per key."""
+    text = known.get(key)
+    if text is None:
         # json writes no ", " inside a float
-        floats = json.dumps(row.view(np.float64).tolist())[1:-1].split(", ")
-        known[key] = "".join(_interleave(head, floats, seps))
-    return known[key]
+        floats = json.dumps(np.frombuffer(key).tolist())[1:-1].split(", ")
+        text = known[key] = "".join(_interleave(head, floats, seps))
+    return text
 
 
 def _table_parts(table: CorrelationTable, level: int | None) -> list[str]:
@@ -245,14 +245,15 @@ def _json_parts(value, level: int | None, texts: dict, out: list[str]) -> None:
     ``json.dumps(value, indent=2)`` for a value ``level`` containers deep, or
     with ``level`` None those of compact ``json.dumps``.  Arrays and
     correlation tables are written by ``_array_parts``, which shares ``texts``
-    among them; tuples are written as lists, ``_plain`` refuses a key that is
-    not a string, and json writes any other value, such as a container that
-    holds no array, in one call.  It recurses as a module function: a nested
-    function that calls itself is a reference cycle."""
+    among them; tuples are written as lists, a key that is not a string is
+    refused, and any other value is written by json itself.  It recurses as a
+    module function: a nested function that calls itself is a reference cycle."""
     if isinstance(value, _ARRAYS):
         out += _array_parts(value, level, texts)
-    elif isinstance(value, (dict, list, tuple)) and value and not _plain(value):
+    elif isinstance(value, (dict, list, tuple)) and value:
         is_dict = isinstance(value, dict)
+        if is_dict and not all(isinstance(key, str) for key in value):
+            raise TypeError(f"report keys must be str: {list(value)!r}")
         inner = None if level is None else level + 1
         pad = "" if level is None else "\n" + "  " * inner
         lead = ("{" if is_dict else "[") + pad
@@ -261,19 +262,8 @@ def _json_parts(value, level: int | None, texts: dict, out: list[str]) -> None:
             _json_parts(item, inner, texts, out)
             lead = ", " if level is None else "," + pad
         out.append(("" if level is None else "\n" + "  " * level) + ("}" if is_dict else "]"))
-    elif level is None or not isinstance(value, (dict, list, tuple)):
-        out.append(json.dumps(value))
     else:
-        out.append(json.dumps(value, indent=2).replace("\n", "\n" + "  " * level))
-
-
-def _plain(value) -> bool:
-    """Whether a dict or list holds no array or table; a non-str key is refused."""
-    if isinstance(value, dict):
-        if not all(isinstance(key, str) for key in value):
-            raise TypeError(f"report keys must be str: {list(value)!r}")
-        value = value.values()
-    return all(_plain(v) if isinstance(v, (dict, list, tuple)) else not isinstance(v, _ARRAYS) for v in value)
+        out.append(json.dumps(value))
 
 
 def render_json(report: dict) -> list[str]:

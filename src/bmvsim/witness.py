@@ -100,13 +100,16 @@ class ProtocolStep:
 @dataclass(frozen=True)
 class ProtocolTrace:
     """What one protocol run computed: its checkpoints, the witness reports of the
-    final and the initial matter, and the final matter's marginals (rho_Q1, rho_Q2)."""
+    final and the initial matter, the final matter's marginals (rho_Q1, rho_Q2),
+    and the steps' states as ``reduce`` returned them: for a register model,
+    one (checkpoints, 2^n) stack."""
 
     model: str
     steps: tuple[ProtocolStep, ...]
     report: WitnessReport
     initial_report: WitnessReport
     marginals: tuple[np.ndarray, np.ndarray]
+    states: object
 
 
 def _real(vals: np.ndarray) -> np.ndarray:
@@ -239,10 +242,11 @@ def run_protocol(
     for label, gate in gates:
         labels.append(label)
         states.append(gate(states[-1]))
-    steps = tuple(ProtocolStep(*fields) for fields in zip(labels, *reduce(states), strict=True))
+    recorded, mediators, matters = reduce(states)
+    steps = tuple(ProtocolStep(*fields) for fields in zip(labels, recorded, mediators, matters, strict=True))
 
     matter_final = steps[-1].matter
     set_q1, set_q2 = observable_sets
     report = uncorrelated_test(matter_final, set_q1, set_q2, eps=eps)
     initial_report = uncorrelated_test(steps[0].matter, set_q1, set_q2, eps=eps)
-    return ProtocolTrace(model, steps, report, initial_report, marginals(matter_final))
+    return ProtocolTrace(model, steps, report, initial_report, marginals(matter_final), recorded)

@@ -170,9 +170,10 @@ def test_validate_matches_oracle_at_every_checkpoint(k):
     # each checkpoint alone, and all of a run's checkpoints in one stacked call
     sig = protocol_signature(k)
     trace = run_bit_antibit_protocol(k)
-    stacked = validate_state(sig, [step.state for step in trace.steps])
+    stacked = validate_state(sig, trace.states)
     assert len(stacked) == len(trace.steps) == 2 * k + 2
-    for step, row in zip(trace.steps, stacked):
+    for step, state, row in zip(trace.steps, trace.states, stacked):
+        assert np.shares_memory(step.state, state)
         flag, cert = validate_state(sig, step.state)
         assert row == (flag, cert) == reference_validate(sig, step.state), step.label
         assert flag and cert is not None

@@ -518,12 +518,12 @@ def test_report_copies_stay_out_of_the_peak(tmp_path):
 @pytest.mark.parametrize("argv, mediator_bits", [(["run", "bitantibit"], [2]), (["verify-all"], [2, 3, 4])])
 def test_each_checkpoint_is_validated_once(monkeypatch, capsys, argv, mediator_bits):
     # one validate_state call per bit/anti-bit run, on the stack of its
-    # 2k + 2 checkpoints at k mediator bits, each checkpoint one row
+    # 2k + 2 checkpoints at k mediator bits that the run recorded, not a copy
     calls = []
     real = bit_antibit.validate_state
 
     def counted(sig, states, eps=EPS):
-        states = np.asarray(states)
+        assert isinstance(states, np.ndarray), type(states)  # a list would be copied into a stack
         calls.append((sig.n - 2, states.shape))
         return real(sig, states, eps)
 

@@ -286,7 +286,7 @@ def _planted_report() -> dict:
             [],
         ],
         "last": TABLE_CASES["planted"],
-        # subtrees with no array, written by json in one call at each depth
+        # subtrees with no array, at each depth
         "plain": {"list": [1, -0.0, {"deep": ["x\ny", None, True, 1e16]}], "empty": [{}, []], "tuple": (2.5, "z")},
         "plain at depth": [{"rows": [[0.5, NAN], {"k": "v"}], "matrix": np.eye(2)}, [{"a": [1, [2, [3]]]}]],
         # strings a renderer that wrote a placeholder for each array would mistake for one
