@@ -29,9 +29,11 @@ from .statecore import (
 )
 from .witness import ProtocolTrace, purity, schmidt_rank
 
-#: Regression value for the non-decomposable observable's span residual,
-#: fixed by the least-squares oracle run (the target is Frobenius-orthogonal
-#: to the local-product span, so the residual equals its Frobenius norm).
+#: The non-decomposable observable's span residual.  The target sits on the
+#: offset of modes 2 and 3, with an entry of +-1 at each of the 16 kets that
+#: hold both modes or neither, and the local products sit on offset 0: no
+#: entry of one meets an entry of the others, so the fit is zero and the
+#: residual is ||T||_F = sqrt(16) = 4.
 EXPECTED_SPAN_RESIDUAL = 4.0
 
 # Fixed bounds of criteria 5 and 11, which check identities on fixed or seeded
@@ -262,16 +264,23 @@ def _crit_observable_counting(eps, tables, traces):
     return ok, f"counts {[r[1] for r in rows]}, max cross commutator {worst:.3g}"
 
 
-def nondecomposable_target() -> np.ndarray:
-    """The pair annihilator + pair creator observable on modes 2 and 3 of 5."""
-    return fer.word_matrix(5, ((2, False), (3, False))) + fer.word_matrix(5, ((3, True), (2, True)))
+def _span_operators() -> tuple[np.ndarray, np.ndarray]:
+    """``(target, products)`` of the span check, 32 x 32 operators on modes 2
+    and 3 of 5, from their word table (``fer._candidate_rows``).
 
-
-def local_product_basis() -> list[np.ndarray]:
-    """Products of single-mode physical observables of modes 2 and 3 of 5."""
-    b2 = fer.enumerate_physical_observables(5, (2,))
-    b3 = fer.enumerate_physical_observables(5, (3,))
-    return [a @ b for a in b2 for b in b3]
+    The products of the single-mode observables, I, n3, n2 and n2 n3 in that
+    order, are the table's offset-0 class.  The target, the pair annihilator +
+    pair creator c2 c3 + c3^dag c2^dag, lies on the offset of modes 2 and 3,
+    and the first row there is m + m^dag of the pair creator m = c2^dag c3^dag,
+    which is the target negated.
+    """
+    rows, offsets, _ = fer._candidate_rows(5, (2, 3))
+    idx = np.arange(32)
+    products = np.zeros((4, 32, 32), dtype=complex)
+    products[:, idx, idx] = rows[0]
+    target = np.zeros((32, 32), dtype=complex)
+    target[idx ^ offsets[1], idx] = 0.0 - rows[1, 0]  # 0.0 - x keeps zeros +0.0
+    return target, products
 
 
 def span_check(eps: float = EPS) -> tuple[bool, float, bool]:
@@ -279,7 +288,7 @@ def span_check(eps: float = EPS) -> tuple[bool, float, bool]:
     against the local product span: it passes when the target is out of the
     span, by more than ``_SPAN_GAP_MIN`` and at the pinned residual.  The
     verdict of criterion 5 and of the ``tomography`` command."""
-    decomposable, residual = in_span(nondecomposable_target(), local_product_basis(), eps)
+    decomposable, residual = in_span(*_span_operators(), eps)
     pinned = abs(residual - EXPECTED_SPAN_RESIDUAL) <= _SPAN_PIN_TOL
     return decomposable, residual, (not decomposable) and residual > _SPAN_GAP_MIN and pinned
 

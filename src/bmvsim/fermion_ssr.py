@@ -62,10 +62,11 @@ _LOGDET_TOL = 1e-9
 
 # `tomography --k-max k` counts full registers of up to k modes.  Wall time
 # and peak RSS per command, json / text, fresh process, median of 5, on a
-# 2-vCPU Xeon: k = 7 0.16 / 0.16 s at 48 MiB; k = 8 0.37 / 0.35 s at 162 MiB,
-# of which the k = 8 classes are 64 MiB.  The count holds the actions of
-# 2^(2k-1) words of 2^k values each, 8x more per k: the k = 9 classes alone
-# would be 512 MiB, so k = 9 is rejected before it allocates.
+# 2-vCPU Xeon whose speed drifts between runs: k = 7 0.16-0.33 s at 47 MiB;
+# k = 8 0.34-0.55 s at 161 MiB, of which the k = 8 classes are 64 MiB.  The
+# count holds the actions of 2^(2k-1) words of 2^k values each, 8x more per
+# k: the k = 9 classes alone would be 512 MiB, so k = 9 is rejected before it
+# allocates.
 MAX_COUNT_MODES = 8
 
 
@@ -124,23 +125,26 @@ def _even_word_actions(n: int, modes: tuple[int, ...], words: np.ndarray) -> tup
     from bit masks: the i-th word maps |s> to values[i, s] |s ^ offsets[i]>.
 
     Word w has one base-4 digit dag + 2 ann per mode, modes[0] most significant:
-    c^dag over the modes D ascending, then c over B descending, flipping D ^ B
-    and alive on |s> when B is occupied and D empty in s & ~B.  With X(M) the
-    modes before an odd number of modes of M, its sign is parity(s & X(B))
-    parity((s & ~B) & X(D)) (-1)^(q(q-1)/2), q = |B|: the last factor takes back
-    the modes of B that the annihilators, lowest first, have already emptied.
+    c^dag over the modes D ascending, then c over B descending, flipping D ^ B.
+    Two masks per word give its action.  It is alive on |s> iff
+    s & (B | D) == B: B occupied, and D empty once B is emptied.  With X(M) the
+    modes before an odd number of modes of M, its sign is parity(s & S) with
+    S = (X(B) ^ X(D)) & ~B.  The annihilators, lowest first, each count the
+    occupied modes before their own, parity(s & X(B)), less the modes of B
+    they have already emptied, (-1)^(q(q-1)/2) for q = |B|; the creators count
+    those of s & ~B, parity(s & ~B & X(D)).  A live s holds B, and
+    parity(B & X(B)) is that same (-1)^(q(q-1)/2), so B drops out of S.
     """
-    creators = annihilators = x_creators = x_annihilators = q = 0
+    creators = annihilators = x_creators = x_annihilators = 0
     for place, mode in enumerate(reversed(modes)):
         bit, before = 1 << (n - mode), (1 << n) - (2 << (n - mode))
         dag, ann = (words >> 2 * place) & 1, (words >> 2 * place + 1) & 1
-        creators, annihilators, q = creators | dag * bit, annihilators | ann * bit, q + ann
+        creators, annihilators = creators | dag * bit, annihilators | ann * bit
         x_creators, x_annihilators = x_creators ^ dag * before, x_annihilators ^ ann * before
-    d, b, xd, xb, q = (a[:, None] for a in (creators, annihilators, x_creators, x_annihilators, q))
     s = np.arange(1 << n)
-    rest = s & ~b
-    signs = _parity_signs((s & xb) ^ (rest & xd)) * np.where(q & 2, -1.0, 1.0)
-    return (d ^ b)[:, 0], np.where(((s & b) == b) & ((rest & d) == 0), signs, 0.0)
+    alive = (s & (creators | annihilators)[:, None]) == annihilators[:, None]
+    signs = _parity_signs(s & ((x_annihilators ^ x_creators) & ~annihilators)[:, None])
+    return creators ^ annihilators, np.where(alive, signs, 0.0)
 
 
 def _adjoint_words(words: np.ndarray, k: int) -> np.ndarray:

@@ -154,9 +154,11 @@ def in_span(target: np.ndarray, basis, eps: float = EPS) -> tuple[bool, float]:
     """Least-squares membership of ``target`` in the span of ``basis``.
 
     Each operator is vectorized into a dim^2 column; the returned residual is
-    the Euclidean distance from the target to the column space.  The target is
-    decomposable iff residual <= eps * ||target||_F.  An empty basis yields
-    (False, ||target||_F).
+    the Euclidean distance from the target to the column space.  The fit is
+    solved on the live rows only, where the target or some basis operator is
+    nonzero: a row that is zero throughout adds nothing to the fit or to the
+    residual.  The target is decomposable iff residual <= eps * ||target||_F.
+    An empty basis yields (False, ||target||_F).
     """
     target = np.asarray(target, dtype=complex)
     tvec = target.reshape(-1)
@@ -167,7 +169,12 @@ def in_span(target: np.ndarray, basis, eps: float = EPS) -> tuple[bool, float]:
     cols = np.column_stack([np.asarray(b, dtype=complex).reshape(-1) for b in basis])
     if cols.shape[0] != tvec.shape[0]:
         raise ValueError("bad-partition: basis operators must match the target dimension")
-    coeffs, *_ = np.linalg.lstsq(cols, tvec, rcond=None)
+    # lstsq's default cutoff for the full matrix: zero rows leave its singular
+    # values, and so the rank it finds, as they were
+    rcond = np.finfo(float).eps * max(cols.shape)
+    live = np.flatnonzero((tvec != 0) | cols.any(axis=1))
+    cols, tvec = cols[live], tvec[live]
+    coeffs, *_ = np.linalg.lstsq(cols, tvec, rcond=rcond)
     # not cols @ coeffs: that tall-thin product can stall on two BLAS threads
     residual = float(np.linalg.norm(tvec - (cols * coeffs).sum(axis=1)))
     return residual <= eps * tnorm, residual

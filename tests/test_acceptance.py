@@ -17,8 +17,6 @@ from bmvsim.acceptance import (
     EXPECTED_SPAN_RESIDUAL,
     bab_expected_matter_state,
     fermion_expected_mediator_sequence,
-    local_product_basis,
-    nondecomposable_target,
     run_all,
 )
 from bmvsim.bit_antibit import protocol_signature, run_bit_antibit_protocol, validate_state
@@ -30,6 +28,7 @@ from bmvsim.fermion_ssr import (
     fermionic_swap,
     run_fermion_protocol,
     vacuum_state,
+    word_matrix,
 )
 from bmvsim.ising_anyon import (
     AnyonState,
@@ -135,6 +134,34 @@ def test_criterion_4_counting_and_microcausality():
     )
     ok = counts_ok and worst <= EPS
     _verdict(4, "observable counting + microcausality", ok, f"counts {[r[1] for r in rows]}, worst commutator {worst:.2g}")
+
+
+def nondecomposable_target():
+    """The pair annihilator + pair creator c2 c3 + c3^dag c2^dag on modes 2
+    and 3 of 5, as a product of dense annihilator and creator matrices."""
+    return word_matrix(5, ((2, False), (3, False))) + word_matrix(5, ((3, True), (2, True)))
+
+
+def local_product_basis():
+    """Products of the single-mode physical observables of modes 2 and 3 of 5."""
+    b2 = enumerate_physical_observables(5, (2,))
+    b3 = enumerate_physical_observables(5, (3,))
+    return [a @ b for a in b2 for b in b3]
+
+
+def test_span_operators_match_the_dense_constructions():
+    target, products = acceptance._span_operators()
+    assert np.array_equal(target, nondecomposable_target())
+    assert len(products) == 4
+    assert all(np.array_equal(a, b) for a, b in zip(products, local_product_basis(), strict=True))
+
+
+def test_span_residual_is_the_target_norm_exactly():
+    # the target has 16 entries of +-1 on the offset of modes 2 and 3, and the
+    # products are diagonal, so the fit is zero and the residual is ||T||_F
+    target, _ = acceptance._span_operators()
+    assert np.count_nonzero(target) == 16 and set(np.abs(target[target != 0]).tolist()) == {1.0}
+    assert acceptance.span_check(EPS)[:2] == (False, 4.0) == (False, EXPECTED_SPAN_RESIDUAL)
 
 
 def test_criterion_5_non_decomposability():

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bmvsim import acceptance, bit_antibit, cli
+from bmvsim import acceptance, bit_antibit, cli, fermion_ssr
 from bmvsim.cli import (
     EXIT_IO,
     EXIT_MISMATCH,
@@ -122,8 +122,9 @@ def test_tomography_table(capsys):
 def test_span_residual_off_its_pin_fails_tomography_and_criterion_5(capsys, monkeypatch):
     # the target is orthogonal to the local product span, so scaling it
     # scales the residual: 0.05 is out of the span but within _SPAN_GAP_MIN
-    target = acceptance.nondecomposable_target() * (0.05 / acceptance.EXPECTED_SPAN_RESIDUAL)
-    monkeypatch.setattr(acceptance, "nondecomposable_target", lambda: target)
+    target, products = acceptance._span_operators()
+    target = target * (0.05 / acceptance.EXPECTED_SPAN_RESIDUAL)
+    monkeypatch.setattr(acceptance, "_span_operators", lambda: (target, products))
     code, out, _ = run_cli(capsys, ["tomography", "--format", "json"])
     report = json.loads(out)
     assert report["span_check"]["residual"] == pytest.approx(0.05)
@@ -531,3 +532,26 @@ def test_each_checkpoint_is_validated_once(monkeypatch, capsys, argv, mediator_b
     code, _, _ = run_cli(capsys, argv)
     assert code == EXIT_OK
     assert sorted(calls) == [(k, (2 * k + 2, 1 << (k + 4))) for k in mediator_bits]
+
+
+@pytest.mark.parametrize("k_max", [1, 5])
+def test_tomography_builds_two_word_tables(monkeypatch, capsys, k_max):
+    # one word table for the count, on the largest register, and one for the
+    # span check's operators, on modes 2 and 3 of 5; no dense word product
+    # and no scattered observable stack
+    calls = []
+    real = fermion_ssr._candidate_rows
+
+    def counted(n, modes):
+        calls.append((n, modes))
+        return real(n, modes)
+
+    def recorded(name):
+        return lambda *args: calls.append(name)
+
+    monkeypatch.setattr(fermion_ssr, "_candidate_rows", counted)
+    monkeypatch.setattr(fermion_ssr, "word_matrix", recorded("word_matrix"))
+    monkeypatch.setattr(fermion_ssr, "enumerate_physical_observables", recorded("enumerate_physical_observables"))
+    code, _, _ = run_cli(capsys, ["tomography", "--k-max", str(k_max), "--format", "json"])
+    assert code == EXIT_OK
+    assert sorted(calls) == sorted([(k_max, tuple(range(1, k_max + 1))), (5, (2, 3))])

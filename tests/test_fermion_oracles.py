@@ -383,6 +383,34 @@ def test_mask_word_actions_match_word_actions(n, modes):
         assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def three_mask_word_actions(n, modes, words):
+    """The even words' ``(offsets, values)`` by the earlier mask rule: alive
+    when B is occupied and D empty in s & ~B, with the sign
+    parity(s & X(B)) parity((s & ~B) & X(D)) (-1)^(q(q-1)/2), q = |B|."""
+    creators = annihilators = x_creators = x_annihilators = q = 0
+    for place, mode in enumerate(reversed(modes)):
+        bit, before = 1 << (n - mode), (1 << n) - (2 << (n - mode))
+        dag, ann = (words >> 2 * place) & 1, (words >> 2 * place + 1) & 1
+        creators, annihilators, q = creators | dag * bit, annihilators | ann * bit, q + ann
+        x_creators, x_annihilators = x_creators ^ dag * before, x_annihilators ^ ann * before
+    d, b, xd, xb, q = (a[:, None] for a in (creators, annihilators, x_creators, x_annihilators, q))
+    s = np.arange(1 << n)
+    rest = s & ~b
+    signs = _parity_signs((s & xb) ^ (rest & xd)) * np.where(q & 2, -1.0, 1.0)
+    return (d ^ b)[:, 0], np.where(((s & b) == b) & ((rest & d) == 0), signs, 0.0)
+
+
+@pytest.mark.parametrize(
+    "n, modes", [(k, tuple(range(1, k + 1))) for k in range(1, 8)] + [(5, (2,)), (5, (2, 3)), (6, (1, 3, 6))]
+)
+def test_two_mask_word_actions_match_the_three_mask_rule(n, modes):
+    words = np.arange(1 << 2 * len(modes))
+    even = words[_parity_signs(words) > 0]
+    for got, want in zip(_even_word_actions(n, modes, even), three_mask_word_actions(n, modes, even)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def symbolic_adjoint(word):
     """The normal-ordered adjoint of a normal-ordered word: its creators become
     annihilators and its annihilators creators, each run reversed."""

@@ -265,6 +265,70 @@ def test_in_span_monotone():
         r1 = r2
 
 
+def full_row_in_span(target, basis, eps=EPS):
+    """``in_span`` as a least-squares solve on every dim^2 row, zero rows
+    included, with lstsq's default cutoff."""
+    tvec = np.asarray(target, dtype=complex).reshape(-1)
+    tnorm = float(np.linalg.norm(tvec))
+    if not basis:
+        return False, tnorm
+    cols = np.column_stack([np.asarray(b, dtype=complex).reshape(-1) for b in basis])
+    coeffs, *_ = np.linalg.lstsq(cols, tvec, rcond=None)
+    residual = float(np.linalg.norm(tvec - cols @ coeffs))
+    return residual <= eps * tnorm, residual
+
+
+def sparse_operator(dim, rows, rng):
+    """A random complex dim x dim operator, nonzero only on the vectorized
+    entries ``rows``."""
+    m = np.zeros(dim * dim, dtype=complex)
+    m[rows] = rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))
+    return m.reshape(dim, dim)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_live_row_in_span_matches_the_full_row_solve(seed):
+    # operators that share few nonzero rows, on an 8 x 8 space whose 64 rows
+    # are mostly zero in every one of them; bases empty (seeds 0, 4, 8),
+    # independent, or rank-deficient through repeated and combined members
+    # (odd seeds), and targets in, out of and partly in their span
+    rng = np.random.default_rng(900 + seed)
+    dim = 8
+    rows = rng.choice(dim * dim, size=12, replace=False)
+    basis = [sparse_operator(dim, rng.choice(rows, size=rng.integers(1, 6), replace=False), rng) for _ in range(seed % 4)]
+    if basis and seed % 2:
+        basis += [basis[0], 2.0 * basis[-1] - 1j * basis[0]]
+    outside = sparse_operator(dim, rng.choice(rows, size=4, replace=False), rng)
+    targets = [outside, np.zeros((dim, dim), dtype=complex)]
+    if basis:
+        inside = sum(complex(c) * b for c, b in zip(rng.standard_normal(len(basis)), basis))
+        targets += [inside, inside + 1e-3 * outside]
+    for target in targets:
+        want = full_row_in_span(target, basis)
+        got = in_span(target, basis)
+        assert got[0] == want[0]
+        assert abs(got[1] - want[1]) <= 1e-12 * np.linalg.norm(target)
+
+
+def test_in_span_keeps_the_full_matrix_rank_cutoff():
+    # singular values sqrt(2) and 3.5e-15: under the default cutoff of the
+    # full 64-row matrix (1.4e-14 relative) but over that of its 2 live rows
+    # (4.4e-16), so solving on those rows must not see a second direction
+    v, w = np.zeros((8, 8), dtype=complex), np.zeros((8, 8), dtype=complex)
+    v[0, 0], w[3, 5] = 1.0, 1.0
+    basis = [v, v + 5e-15 * w]
+    assert in_span(w, basis) == full_row_in_span(w, basis)
+    assert in_span(w, basis)[0] is False
+
+
+def test_in_span_with_no_live_row():
+    # a zero target against zero operators leaves no row to solve on
+    zero = np.zeros((4, 4), dtype=complex)
+    assert in_span(zero, [zero, zero]) == full_row_in_span(zero, [zero, zero]) == (True, 0.0)
+    ok, residual = in_span(np.eye(4), [zero])
+    assert not ok and residual == 2.0
+
+
 def test_predicates():
     assert is_hermitian(X) and is_hermitian(Y)
     assert not is_hermitian(X + 1j * I2)
