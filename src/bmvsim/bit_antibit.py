@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .statecore import EPS, hermitian_basis, partial_trace, reduce_support, support_states, tensor
+from .statecore import EPS, hermitian_basis, partial_trace, read_only, reduce_support, support_states, tensor
 from .witness import LocalObservableSet, ProtocolTrace, run_protocol
 
 
@@ -139,8 +139,10 @@ def swap_bits(sig: SystemSignature, b1: str, b2: str, indices: np.ndarray) -> np
 # the mediation protocol
 
 
+@cache
 def protocol_signature(mediator_bits: int = 2) -> SystemSignature:
-    """(2, 2 + k) system ordered A1 B1 [B2 .. B_{k+1}] B_{k+2} A2."""
+    """(2, 2 + k) system ordered A1 B1 [B2 .. B_{k+1}] B_{k+2} A2, built once
+    per process for each k."""
     if mediator_bits < 2:
         raise ValueError("bad-signature: need at least 2 mediator bits")
     k = mediator_bits
@@ -176,6 +178,19 @@ def pair_observable_sets() -> tuple[LocalObservableSet, LocalObservableSet]:
     )
 
 
+@cache
+def _initial_support(mediator_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The protocol's initial state on its support, ``(indices, amplitudes)``:
+    both pair qubits in the even superposition and the mediator bits zero.
+    Built once per process for each k; read-only."""
+    bell = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    zeros = np.zeros(1 << mediator_bits, dtype=complex)
+    zeros[0] = 1.0
+    initial = tensor(bell, zeros, bell)
+    support = np.flatnonzero(initial)
+    return read_only(support, initial[support])
+
+
 def run_bit_antibit_protocol(mediator_bits: int = 2, eps: float = EPS) -> ProtocolTrace:
     """Swap-mediated entanglement between the two bit/anti-bit pair qubits.
 
@@ -188,13 +203,8 @@ def run_bit_antibit_protocol(mediator_bits: int = 2, eps: float = EPS) -> Protoc
     """
     sig = protocol_signature(mediator_bits)
     k = mediator_bits
-    bell = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    zeros = np.zeros(1 << k, dtype=complex)
-    zeros[0] = 1.0
-    initial = tensor(bell, zeros, bell)
-    support = np.flatnonzero(initial)
     # a swap moves amplitudes between indices, so every checkpoint has these
-    amplitudes = initial[support]
+    support, amplitudes = _initial_support(k)
 
     mediator_slots = [sig.slot_of(f"B{i}") for i in range(2, k + 2)]
     matter_slots = [sig.slot_of(s) for s in ("A1", "B1", f"B{k + 2}", "A2")]

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from bisect import bisect_left
 from collections.abc import Iterator
 from functools import cache
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -240,14 +242,35 @@ def build_verify_report(eps: float) -> dict:
 # rendering
 
 
+def _scalar_text(value) -> str:
+    """``json.dumps(value)``, written as json writes it without a call of its
+    own for the scalars a report holds: a str by json's ASCII escaper, an
+    exact int or a finite exact float by its repr, and True, False and None
+    by name.  Anything else, a NaN or infinite float, a numpy scalar, a list,
+    or a type json refuses, goes to ``json.dumps``."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return repr(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return json.dumps(value)
+
+
 def _json_parts(value, level: int | None, texts: dict, out: list[str]) -> None:
     """Append the JSON text of ``value`` to ``out`` in pieces: the bytes of
     ``json.dumps(value, indent=2)`` for a value ``level`` containers deep, or
     with ``level`` None those of compact ``json.dumps``.  Arrays and
     correlation tables are written by ``_array_parts``, which shares ``texts``
     among them; tuples are written as lists, a key that is not a string is
-    refused, and any other value is written by json itself.  It recurses as a
-    module function: a nested function that calls itself is a reference cycle."""
+    refused, and any other value is written by ``_scalar_text``.  It recurses
+    as a module function: a nested function that calls itself is a reference
+    cycle."""
     if isinstance(value, _ARRAYS):
         out += _array_parts(value, level, texts)
     elif isinstance(value, (dict, list, tuple)) and value:
@@ -258,12 +281,12 @@ def _json_parts(value, level: int | None, texts: dict, out: list[str]) -> None:
         pad = "" if level is None else "\n" + "  " * inner
         lead = ("{" if is_dict else "[") + pad
         for key, item in value.items() if is_dict else enumerate(value):
-            out.append((lead + json.dumps(key) + ": ") if is_dict else lead)
+            out.append((lead + encode_basestring_ascii(key) + ": ") if is_dict else lead)
             _json_parts(item, inner, texts, out)
             lead = ", " if level is None else "," + pad
         out.append(("" if level is None else "\n" + "  " * level) + ("}" if is_dict else "]"))
     else:
-        out.append(json.dumps(value))
+        out.append(_scalar_text(value))
 
 
 def render_json(report: dict) -> list[str]:
@@ -275,30 +298,31 @@ def render_json(report: dict) -> list[str]:
     return out
 
 
-def _csv_rows(value, prefix: str = "") -> Iterator[tuple[str, str, list[str]]]:
-    """The (section, key, value pieces) rows of a report.  It recurses as a
-    module function: a nested function that calls itself is a reference cycle,
-    which would keep each report's rows alive until a gc pass."""
+def _csv_rows(value, texts: dict, prefix: str = "") -> Iterator[tuple[str, str, list[str]]]:
+    """The (section, key, value pieces) rows of a report, its array cells
+    sharing the row texts ``texts``.  It recurses as a module function: a
+    nested function that calls itself is a reference cycle, which would keep
+    each report's rows alive until a gc pass."""
     if isinstance(value, dict):
         for key, sub in value.items():
-            yield from _csv_rows(sub, f"{prefix}.{key}" if prefix else str(key))
+            yield from _csv_rows(sub, texts, f"{prefix}.{key}" if prefix else str(key))
     elif isinstance(value, list) and value and isinstance(value[0], dict):
         for i, sub in enumerate(value):
-            yield from _csv_rows(sub, f"{prefix}[{i}]")
+            yield from _csv_rows(sub, texts, f"{prefix}[{i}]")
     else:
-        yield prefix.split(".")[0], prefix, _cell_parts(value)
+        yield prefix.split(".")[0], prefix, _cell_parts(value, texts)
 
 
-def _cell_parts(value) -> list[str]:
+def _cell_parts(value, texts: dict) -> list[str]:
     """The compact json text of a value, in pieces: an array or a list of
     arrays, such as the mediator states, in those of ``_json_parts``, and one
     piece for any other json value."""
     items = value if isinstance(value, list) and value else [value]
     if all(isinstance(item, _ARRAYS) for item in items):
         parts: list[str] = []
-        _json_parts(value, None, {}, parts)
+        _json_parts(value, None, texts, parts)
         return parts
-    return [json.dumps(value)]
+    return [_scalar_text(value)]
 
 
 def _csv_quote(cell: str) -> str:
@@ -321,8 +345,10 @@ def _csv_line(section: str, key: str, value: list[str]) -> list[str]:
 
 
 def render_csv(report: dict) -> list[str]:
+    """The report as csv records in pieces, the arrays of one report sharing
+    their row texts, as in ``render_json``."""
     out = ["section,key,value\r\n"]
-    for row in _csv_rows(report):
+    for row in _csv_rows(report, {}):
         out += _csv_line(*row)
     return out
 

@@ -44,11 +44,11 @@ basis-index permutations, evaluated at the support.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
-from .statecore import EPS, dagger, partial_trace, reduce_support, support_states
+from .statecore import EPS, dagger, partial_trace, read_only, reduce_support, support_states
 from .witness import LocalObservableSet, ProtocolTrace, run_protocol
 
 # Bound on |log2|det| - closed form| of ``count_scaling_check``'s classes.
@@ -318,6 +318,13 @@ def _trace_signs(n: int, traced) -> np.ndarray:
     return signs
 
 
+@lru_cache(maxsize=16)
+def _shared_trace_signs(n: int, traced: frozenset[int]) -> np.ndarray:
+    """``_trace_signs`` of one register and traced set, computed once per
+    process and read-only: every protocol run reduces with the same four."""
+    return read_only(_trace_signs(n, traced))[0]
+
+
 def fermionic_partial_trace(m: np.ndarray, n: int, traced) -> np.ndarray:
     """Discard the ``traced`` modes of an n-mode operator: the plain partial
     trace of ``m`` with each row and column multiplied by its ``_trace_signs``
@@ -329,7 +336,7 @@ def fermionic_partial_trace(m: np.ndarray, n: int, traced) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (1 << n, 1 << n):
         raise ValueError("bad-partition: operator dimension does not match mode count")
-    s = _trace_signs(n, traced)
+    s = _shared_trace_signs(n, frozenset(traced))
     keep = [0] + [j for j in range(1, n + 1) if j not in traced]
     return partial_trace(s[:, None] * m * s, [1] + [2] * n, keep)
 
@@ -382,6 +389,18 @@ def pair_observable_sets() -> tuple[LocalObservableSet, LocalObservableSet]:
     )
 
 
+@cache
+def _initial_state() -> tuple[np.ndarray, np.ndarray]:
+    """The protocol's initial state on its support, ``(indices, amplitudes)``:
+    both qubits in the even superposition and the mediator occupied.  Built
+    from the creator matrices once per process; read-only."""
+    n = 5
+    c = {j: creator_matrix(n, j) for j in range(1, 6)}
+    psi = 0.5 * ((c[1] + c[2]) @ c[3] @ (c[4] + c[5]) @ vacuum_state(n))
+    support = np.flatnonzero(psi)
+    return read_only(support, psi[support])
+
+
 def run_fermion_protocol(eps: float = EPS) -> ProtocolTrace:
     """Mediate entanglement between two mode-pair qubits via one middle mode.
 
@@ -393,11 +412,8 @@ def run_fermion_protocol(eps: float = EPS) -> ProtocolTrace:
     matter reduction (trace of mode 3, re-indexed onto 4 modes).
     """
     n = 5
-    c = {j: creator_matrix(n, j) for j in range(1, 6)}
-    psi = 0.5 * ((c[1] + c[2]) @ c[3] @ (c[4] + c[5]) @ vacuum_state(n))
-    support = np.flatnonzero(psi)
-    mediator_signs = _trace_signs(n, (1, 2, 4, 5))
-    matter_signs = _trace_signs(n, (3,))
+    mediator_signs = _shared_trace_signs(n, frozenset((1, 2, 4, 5)))
+    matter_signs = _shared_trace_signs(n, frozenset((3,)))
 
     def reduce(states: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         indices, amps = (np.stack(part) for part in zip(*states))
@@ -419,7 +435,7 @@ def run_fermion_protocol(eps: float = EPS) -> ProtocolTrace:
 
     return run_protocol(
         "fermion",
-        (support, psi[support]),
+        _initial_state(),
         (swap(a, b) for a, b in ((2, 3), (3, 4), (2, 3))),
         reduce,
         lambda matter: (

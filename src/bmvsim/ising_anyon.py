@@ -238,8 +238,10 @@ def pair_observable_sets() -> tuple[LocalObservableSet, LocalObservableSet]:
 # the mediation protocol
 
 
+@cache
 def initial_protocol_state() -> AnyonState:
-    """Encoded |0> on Q1, even superposition on Q2, coupling label t = 0."""
+    """Encoded |0> on Q1, even superposition on Q2, coupling label t = 0;
+    built once per process (a state is immutable)."""
     amps = np.zeros(SECTOR_DIM, dtype=complex)
     amps[sector_index(1, 1, 0)] = 1.0 / _SQ2
     amps[sector_index(1, 0, 0)] = 1.0 / _SQ2

@@ -72,6 +72,14 @@ def dyad(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each made read-only in place: constants of a model that
+    every run shares, so no caller can write them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def tensor(*ops: np.ndarray) -> np.ndarray:
     """Kronecker product of one or more operators, row-major convention."""
     if not ops:

@@ -11,7 +11,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from bmvsim import acceptance, ising_anyon
+from bmvsim import acceptance, bit_antibit, fermion_ssr, ising_anyon, statecore, witness
 from bmvsim.acceptance import (
     ANYON_DISPLAYS,
     EXPECTED_SPAN_RESIDUAL,
@@ -319,3 +319,100 @@ def test_criterion_6_fails_on_a_wrong_partition_change(monkeypatch):
     assert not criterion_6["pass"], criterion_6["detail"]
     # the planted F-move is off by 1 in the pinned displays; the loops still close
     assert criterion_6["detail"] == "matrices differ, worst display deviation 1, worst loop deviation 4.44e-16"
+
+
+# ---------------------------------------------------------------------------
+# the constants of each model, and the run report's checks
+
+
+def _refuse_everywhere(monkeypatch, module, name):
+    """Make every bmvsim binding of ``module.name`` raise when called."""
+    original = getattr(module, name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{module.__name__}.{name} was called")
+
+    for mod in (statecore, fermion_ssr, ising_anyon, bit_antibit, acceptance, witness):
+        if vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, refuse)
+
+
+# what the constants of the protocols and of their pinned rows are built from
+CONSTANT_BUILDERS = (
+    (fermion_ssr, "creator_matrix"),
+    (fermion_ssr, "word_matrix"),
+    (fermion_ssr, "_trace_signs"),
+    (ising_anyon, "embed"),
+    (statecore, "tensor"),
+)
+
+RUN_CASES = [("fermion", {}), ("anyon", {}), ("bitantibit", {}), ("bitantibit", {"mediator_bits": 3})]
+
+
+@pytest.mark.parametrize("model, options", RUN_CASES, ids=[f"{m}{o}" for m, o in RUN_CASES])
+def test_a_second_run_builds_no_model_constant(monkeypatch, model, options):
+    runner = acceptance.RUNNERS[model]
+    first = acceptance.model_checks(runner(eps=EPS, **options), EPS)
+    for module, name in CONSTANT_BUILDERS:
+        _refuse_everywhere(monkeypatch, module, name)
+    again = acceptance.model_checks(runner(eps=EPS, **options), EPS)
+    assert again == first and all(check["pass"] for check in again)
+
+
+def test_the_cached_constants_are_read_only():
+    for model, options in RUN_CASES:
+        acceptance.RUNNERS[model](eps=EPS, **options)
+    constants = [
+        *fermion_ssr._initial_state(),
+        *(fermion_ssr._shared_trace_signs(n, frozenset(traced)) for n, traced in
+          ((5, (1, 2, 4, 5)), (5, (3,)), (4, (3, 4)), (4, (1, 2)))),
+        *bit_antibit._initial_support(2),
+        *bit_antibit._initial_support(3),
+        ising_anyon.initial_protocol_state().amps,
+        *(pin for model in acceptance.RUNNERS for pin in acceptance._model_pins(model)),
+    ]
+    for constant in constants:
+        with pytest.raises(ValueError, match="read-only"):
+            constant[(0,) * constant.ndim] = 0.5
+    # the runs read these very objects: a second call hands out the same ones
+    assert fermion_ssr._initial_state()[0] is constants[0]
+    assert acceptance._model_pins("anyon") is acceptance._model_pins("anyon")
+
+
+def two_pass_checks(trace, eps):
+    """The run report's checks as ``model_checks`` once wrote them: the
+    deviation an array row shows, and its verdict, each computed by its own
+    ``Row`` call."""
+    checks = []
+    for row in acceptance.model_rows(trace, eps):
+        if isinstance(row.pinned, bool):
+            expected, actual = str(row.pinned), str(row.computed)
+        elif isinstance(row.pinned, np.ndarray):
+            expected, actual = "deviation 0", f"deviation {row.deviation():.3g}"
+        else:
+            expected, actual = f"{row.pinned:g}", f"{row.computed:.12g}"
+        checks.append({"name": row.name, "expected": expected, "actual": actual, "pass": row.passes(eps)})
+    return checks
+
+
+@pytest.mark.parametrize("model, options", RUN_CASES, ids=[f"{m}{o}" for m, o in RUN_CASES])
+def test_model_checks_compute_each_deviation_once(monkeypatch, model, options):
+    calls = []
+    real = acceptance.Row.deviation
+
+    def counted(row):
+        calls.append(row.name)
+        return real(row)
+
+    for eps in (1e-12, 1e-10, 1e-6):
+        trace = acceptance.RUNNERS[model](eps=eps, **options)
+        want = two_pass_checks(trace, eps)
+        rows = list(acceptance.model_rows(trace, eps))
+        with monkeypatch.context() as patch:
+            patch.setattr(acceptance.Row, "deviation", counted)
+            calls.clear()
+            got = acceptance.model_checks(trace, eps)
+        assert got == want
+        # an array or number row computes its deviation once; a bool row none
+        assert sorted(calls) == sorted(row.name for row in rows if not isinstance(row.pinned, bool))
+        assert sum(isinstance(row.pinned, np.ndarray) for row in rows) >= 5

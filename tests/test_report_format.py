@@ -325,6 +325,56 @@ def test_render_json_refuses_other_objects():
         cli.render_json({"x": np.int64(1)})
 
 
+class Text(str):
+    pass
+
+
+SCALARS = (
+    # str: non-ASCII, quotes, backslashes and control characters, a subclass
+    "", "plain", "café", "☃ \U0001f600", 'say "hi"', "back\\slash", "\0\x01\x1f\x7f", "tab\tline\nret\r",
+    Text('sub "class"\n'),
+    # int, and float at its edges
+    0, -1, 7, 2**70, -(2**70),
+    0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e16, 1 / 3, 0.1, 1.5e-7,
+    float("nan"), float("inf"), float("-inf"),
+    True, False, None,
+    np.float64(0.5), np.float64(-0.0), np.float64("nan"), np.float64("inf"),
+    # not scalars: the csv cells hand these on to json
+    [0, 5], [], ("a", 1.5),
+)
+
+
+@pytest.mark.parametrize("value", SCALARS, ids=repr)
+def test_scalar_text_matches_json_dumps(value):
+    assert cli._scalar_text(value) == json.dumps(value)
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), np.bool_(False), object()], ids=repr)
+def test_scalar_text_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value)
+    with pytest.raises(TypeError) as got:
+        cli._scalar_text(value)
+    assert str(got.value) == str(want.value)
+
+
+def test_csv_array_cells_share_one_row_text_dict(monkeypatch):
+    # as in render_json, every array of one report reads and fills one dict
+    dicts = []
+    real = cli._array_parts
+
+    def recorded(a, level, texts):
+        dicts.append(texts)
+        return real(a, level, texts)
+
+    monkeypatch.setattr(cli, "_array_parts", recorded)
+    report = cli.build_run_report(RUNNERS["bitantibit"](eps=EPS), EPS, True)
+    for render in (cli.render_json, cli.render_csv):
+        dicts.clear()
+        render(report)
+        assert len(dicts) > 10 and all(texts is dicts[0] for texts in dicts)
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_rendering_leaves_no_cycle_holding_the_report(fmt):
     # a reference cycle that holds a report's arrays or row texts keeps them
@@ -365,7 +415,7 @@ def _reports():
 
 def test_csv_matches_stdlib_writer_on_every_report():
     for name, report in _reports():
-        rows = [(section, key, "".join(value)) for section, key, value in cli._csv_rows(report)]
+        rows = [(section, key, "".join(value)) for section, key, value in cli._csv_rows(report, {})]
         assert "".join(cli.render_csv(report)) == stdlib_csv(rows), name
 
 
