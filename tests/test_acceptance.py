@@ -347,9 +347,10 @@ CONSTANT_BUILDERS = (
 )
 
 RUN_CASES = [("fermion", {}), ("anyon", {}), ("bitantibit", {}), ("bitantibit", {"mediator_bits": 3})]
+RUN_IDS = ["fermion", "anyon", "bitantibit", "bitantibit-k3"]
 
 
-@pytest.mark.parametrize("model, options", RUN_CASES, ids=[f"{m}{o}" for m, o in RUN_CASES])
+@pytest.mark.parametrize("model, options", RUN_CASES, ids=RUN_IDS)
 def test_a_second_run_builds_no_model_constant(monkeypatch, model, options):
     runner = acceptance.RUNNERS[model]
     first = acceptance.model_checks(runner(eps=EPS, **options), EPS)
@@ -395,7 +396,7 @@ def two_pass_checks(trace, eps):
     return checks
 
 
-@pytest.mark.parametrize("model, options", RUN_CASES, ids=[f"{m}{o}" for m, o in RUN_CASES])
+@pytest.mark.parametrize("model, options", RUN_CASES, ids=RUN_IDS)
 def test_model_checks_compute_each_deviation_once(monkeypatch, model, options):
     calls = []
     real = acceptance.Row.deviation
